@@ -291,10 +291,14 @@ class FlattenedQuantile(LossDistribution):
     window is collapsed onto a single point.
     """
 
+    # how far the level may cross the base quantile at the window's ends,
+    # for rounding in the window probabilities
+    LEVEL_SLOP = 1e-12
+
     def __init__(self, base, t_lo, t_hi, level):
         if not (0.0 <= t_lo < t_hi <= 1.0):
             raise DomainError(f"need 0 <= t_lo < t_hi <= 1, got ({t_lo}, {t_hi})")
-        eps = 1e-12
+        eps = self.LEVEL_SLOP
         if t_lo > 0.0 and base.quantile(t_lo) > level + eps:
             raise DomainError("flat level lies below the base quantile at t_lo")
         if t_hi < 1.0 and base.quantile_right(t_hi) < level - eps:

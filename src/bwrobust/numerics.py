@@ -1,10 +1,12 @@
 """Quadrature and one-dimensional search kernels.
 
-Everything here works on plain floats and numpy arrays.  Adaptive quadrature
-is delegated to QUADPACK via :func:`scipy.integrate.quad`; the helpers add
-breakpoint handling, error escalation, and the fixed Gauss-Legendre panel
-machinery used by the worst-case-distribution solver, where integrands are
-piecewise smooth with known knots.
+Everything here works on plain floats and numpy arrays.  Scalar adaptive
+quadrature is delegated to QUADPACK via :func:`scipy.integrate.quad`
+(:func:`adaptive_quad`); vectorized integrands that are smooth between known
+breakpoints go to :func:`panel_quad`, an error-controlled Gauss-Legendre panel
+rule evaluated in array calls.  The same Gauss panels back the tail-integral
+tables and the fixed panel machinery of the worst-case-distribution solver,
+where integrands are piecewise smooth with known knots.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from scipy.integrate import quad
 from .errors import NumericsError
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(7)
+_PANEL_ROUNDS = 100  # halvings of a unit panel reach the float spacing at 1 in 53
+_PANEL_BATCH = 512  # panels per integrand call: memory does not grow with panels
+_PANEL_LIMIT = 1 << 17  # open panels; an integrand noisy beyond tol doubles them
 
 
 def adaptive_quad(f, a, b, *, points=(), tol=1e-10, limit=500):
@@ -39,6 +44,67 @@ def adaptive_quad(f, a, b, *, points=(), tol=1e-10, limit=500):
             partial=value,
         )
     return value
+
+
+def _gauss_sums(f, lo, hi):
+    """Gauss-Legendre sums of a vectorized ``f`` over the panels ``[lo, hi]``
+    (arrays of one shape), in one call of ``f``."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[..., None] + half[..., None] * _GAUSS_NODES
+    vals = f(nodes.ravel()).reshape(nodes.shape)
+    return (vals * _GAUSS_WEIGHTS).sum(axis=-1) * half
+
+
+def panel_quad(f, a, b, *, points=(), tol=1e-10):
+    """Integrate a vectorized ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
+
+    The starting panels run between the breakpoints ``points`` (values
+    outside ``(a, b)`` are ignored), so ``f`` should be smooth on each.  Every
+    round evaluates each open panel and its two halves: the halves' sum is the
+    panel's value and ``|halves - whole|`` its error estimate.  A panel whose
+    estimate is within ``tol * width / (b - a)`` is accepted and the others
+    are halved, which resolves endpoint singularities such as a logarithmic
+    one.  The integral is returned as soon as the estimates of all panels,
+    accepted and open, add up to ``tol`` or less; panels next to a
+    singularity, whose estimate is mostly rounding noise far below ``tol``,
+    therefore stop there instead of splitting down to the float floor.
+    Raises :class:`NumericsError` carrying the partial estimate on a
+    non-finite value or when the round or open-panel limit is reached.
+    """
+    if b <= a:
+        return 0.0
+    edges = np.unique([a, b] + [float(p) for p in points if a < p < b])
+    lo, hi = edges[:-1], edges[1:]
+    share = tol / (b - a)
+    total = err_done = 0.0
+    for _ in range(_PANEL_ROUNDS):
+        mid = 0.5 * (lo + hi)
+        parts = []
+        for i in range(0, lo.size, _PANEL_BATCH):
+            lo_i, mid_i, hi_i = (x[i:i + _PANEL_BATCH] for x in (lo, mid, hi))
+            # rows: whole panel, left half, right half
+            parts.append(_gauss_sums(f, np.stack([lo_i, lo_i, mid_i]),
+                                     np.stack([hi_i, mid_i, hi_i])))
+        sums = np.concatenate(parts, axis=1)
+        val = sums[1] + sums[2]
+        err = np.abs(val - sums[0])
+        if not np.all(np.isfinite(sums)):
+            raise NumericsError("quadrature produced a non-finite value",
+                                partial=total + float(val.sum()))
+        ok = err <= share * (hi - lo)
+        if ok.all() or err_done + err.sum() <= tol:
+            return total + float(val.sum())
+        total += float(val[ok].sum())
+        err_done += float(err[ok].sum())
+        lo, hi, mid = lo[~ok], hi[~ok], mid[~ok]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        if lo.size > _PANEL_LIMIT:
+            break
+    raise NumericsError(
+        f"panel quadrature did not reach tol {tol:.1e} within {_PANEL_ROUNDS} "
+        f"rounds and {_PANEL_LIMIT} open panels ({lo.size} open)",
+        partial=total + float(val[~ok].sum()))
 
 
 def bisect_predicate(pred, lo, hi, *, xtol, max_iter=200):
@@ -198,11 +264,7 @@ class TailIntegral:
         self.lo = float(lo)
         self.hi = float(hi)
         self.edges = refine_edges(knots, lo, hi, max_cell=max_cell)
-        half = 0.5 * np.diff(self.edges)
-        mid = 0.5 * (self.edges[:-1] + self.edges[1:])
-        nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-        vals = f(nodes.ravel()).reshape(nodes.shape)
-        cell = (vals * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
+        cell = _gauss_sums(f, self.edges[:-1], self.edges[1:])
         # cum[i] = integral from edges[i] to hi
         self.cum = np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
 
@@ -212,13 +274,7 @@ class TailIntegral:
         xf = np.atleast_1d(x)
         idx = np.searchsorted(self.edges, xf, side="left")
         idx = np.clip(idx, 0, len(self.edges) - 1)
-        upper = self.edges[idx]
-        half = 0.5 * (upper - xf)
-        mid = 0.5 * (upper + xf)
-        nodes = mid[:, None] + half[:, None] * _GAUSS_NODES[None, :]
-        corr = (self.f(nodes.ravel()).reshape(nodes.shape)
-                * _GAUSS_WEIGHTS[None, :]).sum(axis=1) * half
-        out = self.cum[idx] + corr
+        out = self.cum[idx] + _gauss_sums(self.f, xf, self.edges[idx])
         return float(out[0]) if scalar else out
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bregman import pointwise_divergence
 from .distributions import FlattenedQuantile
 from .errors import DomainError
@@ -143,7 +145,13 @@ def witness_near_worst(gen, f0, alpha, epsilon, delta):
             f"delta must lie in (0, v_upper - benchmark VaR) = "
             f"(0, {v_upper - q_alpha}), got {delta}")
     level = v_upper - delta
+    # F0(level) is rounded; where the quantile is steep its right quantile
+    # can fall short of the level by more than the slop, so step up to the
+    # first float where the base quantile has caught up
     t_hi = float(f0.cdf(level))
+    while (t_hi < 1.0 and f0.quantile_right(t_hi)
+           < level - FlattenedQuantile.LEVEL_SLOP):
+        t_hi = float(np.nextafter(t_hi, 2.0))
 
     def budget(xi):
         return adaptive_quad(

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from bwrobust.bregman import (bw_divergence_quantile, bw_divergence_survival,
+from bwrobust.bregman import (_quantile_points, bw_divergence_quantile,
+                              bw_divergence_survival,
                               make_piecewise_quadratic_generator,
                               make_xlogx_generator, parse_generator,
                               pointwise_divergence, quadratic_generator,
                               validate_generator)
-from bwrobust.distributions import make_tabulated, make_truncated_exponential
+from bwrobust.distributions import (FlattenedQuantile, make_tabulated,
+                                    make_truncated_exponential)
 from bwrobust.errors import DomainError, ValidationError
+from bwrobust.numerics import adaptive_quad
 
 from conftest import random_tabulated
 
@@ -161,3 +164,47 @@ class TestDivergenceRepresentations:
         coupled = np.mean((texp.quantile(ts) - d2.quantile(ts)) ** 2)
         assert bw_divergence_quantile(gen, texp, d2) == pytest.approx(
             coupled, abs=5e-3)
+
+
+def quadpack_divergence(gen, f1, f2):
+    """Oracle: the same paired-quantile integrand and breakpoints, handed to
+    QUADPACK."""
+    return adaptive_quad(
+        lambda t: pointwise_divergence(gen, f1.quantile(t), f2.quantile(t)),
+        0.0, 1.0, points=_quantile_points(gen, f1, f2), tol=1e-12)
+
+
+class TestPanelDivergence:
+    """The Gauss-panel quantile divergence against the QUADPACK oracle."""
+
+    def test_random_pairs_with_and_without_atoms(self):
+        rng = np.random.default_rng(606)
+        gens = (quadratic_generator(4.0), make_xlogx_generator(1.0, 4.0),
+                make_piecewise_quadratic_generator(1.5, 2.0, 4.0))
+        n_atoms = 0
+        for i in range(12):
+            f1 = random_tabulated(rng, allow_atoms=i % 2 == 1)
+            f2 = random_tabulated(rng, allow_atoms=i % 2 == 1)
+            n_atoms += sum(bool(np.any(np.diff(f.xs) == 0.0)) for f in (f1, f2))
+            for gen in gens:
+                assert bw_divergence_quantile(gen, f1, f2) == pytest.approx(
+                    quadpack_divergence(gen, f1, f2), abs=1e-10)
+                assert bw_divergence_quantile(gen, f1, f1) <= 1e-10
+        assert n_atoms > 0
+
+    def test_flattened_quantile_witnesses(self, texp, xlogx100):
+        gens = (xlogx100,
+                make_piecewise_quadratic_generator(texp.quantile(0.95), 2.0, 100.0))
+        for alpha, level_t in ((0.95, 0.999), (0.9, 0.99999)):
+            level = float(texp.quantile(level_t))
+            upper = FlattenedQuantile(texp, alpha - 0.02, level_t, level)
+            lower = FlattenedQuantile(texp, 0.5, alpha, float(texp.quantile(0.6)))
+            for gen in gens:
+                for w in (upper, lower):
+                    assert bw_divergence_quantile(gen, w, texp) == pytest.approx(
+                        quadpack_divergence(gen, w, texp), abs=1e-10)
+
+    def test_self_divergence(self, texp, xlogx100):
+        d2 = make_truncated_exponential(2.0, 100.0)
+        for f in (d2, FlattenedQuantile(texp, 0.9, 0.99, texp.quantile(0.95))):
+            assert bw_divergence_quantile(xlogx100, f, f) <= 1e-10

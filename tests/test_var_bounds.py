@@ -155,6 +155,16 @@ class TestWitnesses:
         for t in (0.05, 0.3, w.t_lo * 0.99, 0.999):
             assert w.quantile(t) == pytest.approx(texp.quantile(t))
 
+    @pytest.mark.parametrize("alpha, eps", [(0.95, 0.21), (0.9, 0.786)])
+    def test_near_worst_where_the_window_closes_in_the_deep_tail(
+            self, texp, xlogx100, alpha, eps):
+        # F0(v_upper - delta) lies within 1e-5 of 1, where rounding it left
+        # the base quantile short of the flat level at the window's end
+        vu = worst_case_var(xlogx100, texp, alpha, eps)
+        w = witness_near_worst(xlogx100, texp, alpha, eps, 1e-3)
+        assert bw_divergence_quantile(xlogx100, w, texp) <= eps
+        assert w.quantile(alpha) >= vu - 1e-3
+
     def test_near_worst_delta_validation(self, texp):
         q = texp.quantile(0.95)
         gen = make_piecewise_quadratic_generator(q, 2.0, 100.0)
