@@ -77,7 +77,7 @@ def thresholds(insurer_dist, theta, kappa):
     return d1, min(d2, insurer_dist.support_max)
 
 
-def _classify_case(d1, d2, vl, vu, m):
+def _classify_case(d1, d2, vl, vu):
     for pred, case_id, builder in _CASES:
         if pred(d1, d2, vl, vu):
             return case_id, builder(d1, d2, vl, vu)
@@ -133,7 +133,7 @@ def solve_maxmin(scenario, *, tol=None, eta_on_ties=1.0, grid=10_000):
             extra_points=[p for p in extra if lo < p < hi]))
     contract = indemnity_from_sign_regions(regions, m, eta=eta_on_ties).simplified()
 
-    case_id, _ = _classify_case(d1, d2, vl, vu, m)
+    case_id, _ = _classify_case(d1, d2, vl, vu)
     premium = expected_value_premium(contract, sq, scenario.theta)
     objective = (scenario.kappa * (vu - contract(vu))
                  + (1.0 - scenario.kappa) * (vl - contract(vl))
@@ -145,5 +145,5 @@ def solve_maxmin(scenario, *, tol=None, eta_on_ties=1.0, grid=10_000):
 
 def closed_form_layers(d1, d2, v_lower, v_upper):
     """Layer corners of the explicit optimal contract for each ordering."""
-    _, layers = _classify_case(d1, d2, v_lower, v_upper, None)
+    _, layers = _classify_case(d1, d2, v_lower, v_upper)
     return layers

@@ -24,6 +24,12 @@ class DistortionFunction:
     derivative, which is the object the worst-case-curve search needs because
     concave distortions may kink.  ``kink_levels`` lists the probabilities
     where ``g`` is not differentiable, so quadrature can split panels there.
+
+    ``maximizer(dphix, s0, beta, benchmark, generator)``, when set, returns
+    the pointwise maximizer of ``g(t) - beta * (marginal divergence cost)``
+    over ``t`` in ``[S_0(x), 1]`` in closed form, given ``dphix = phi'(x)``,
+    ``s0 = S_0(x)`` and ``beta > 0``; without it the worst-case-curve search
+    bisects on the right derivative.
     """
 
     name: str
@@ -31,6 +37,7 @@ class DistortionFunction:
     ginv: Callable
     gprime_right: Callable
     kink_levels: tuple = ()
+    maximizer: Callable | None = None
 
     def __call__(self, t):
         return self.g(t)
@@ -57,8 +64,21 @@ def tvar_distortion(alpha):
         out = np.where(t < tail, 1.0 / tail, 0.0)
         return float(out) if out.ndim == 0 else out
 
+    def maximizer(dphix, s0, beta, benchmark, generator):
+        # below the kink, k'(t) = 1/(1-a) - beta (phi'(x) - phi'(Q0(t))) <= 0
+        # iff Q0(t) <= y with phi'(y) = phi'(x) - 1/(beta (1-a)), iff
+        # S0(y) <= t (right-continuity handles atoms); at and above the kink
+        # k'(t) <= 0 for every t >= S0(x).  A target below phi'(0) admits no
+        # t under the kink: S0(y) is 1 there, which S0(0) is unless 0 is an atom.
+        target = np.asarray(dphix, dtype=float) - 1.0 / (beta * tail)
+        y = generator.dphi_inv(target)
+        s_y = np.where(target < generator.dphi(0.0), 1.0,
+                       benchmark.survival(np.minimum(y, benchmark.support_max)))
+        return np.maximum(s0, np.minimum(tail, s_y))
+
     return DistortionFunction(name=f"tvar({alpha:g})", g=g, ginv=ginv,
-                              gprime_right=gprime_right, kink_levels=(tail,))
+                              gprime_right=gprime_right, kink_levels=(tail,),
+                              maximizer=maximizer)
 
 
 def power_distortion(exponent):

@@ -107,6 +107,10 @@ class LossDistribution:
         """Loss levels where F kinks (atoms, tabulation knots)."""
         return ()
 
+    def atoms(self):
+        """Loss levels carrying positive mass, where the survival jumps."""
+        return ()
+
     def survival_integral(self, a, b):
         """Exact-ish integral of the survival function over ``[a, b]``."""
         a = float(np.clip(a, 0.0, self.support_max))
@@ -254,6 +258,10 @@ class TabulatedCdf(LossDistribution):
     def x_breakpoints(self):
         return tuple(np.unique(self.xs))
 
+    def atoms(self):
+        jumps = (self.xs[1:] == self.xs[:-1]) & (self.ps[1:] > self.ps[:-1])
+        return tuple(self.xs[1:][jumps])
+
     def survival_integral(self, a, b):
         a = float(np.clip(a, 0.0, self.support_max))
         b = float(np.clip(b, 0.0, self.support_max))
@@ -340,6 +348,10 @@ class FlattenedQuantile(LossDistribution):
         if self.t_hi < 1.0:
             extra.add(float(self.base.quantile_right(self.t_hi)))
         return tuple(sorted(set(self.base.x_breakpoints()) | extra))
+
+    def atoms(self):
+        # the window's mass t_hi - t_lo > 0 sits at the level
+        return tuple(sorted(set(self.base.atoms()) | {self.level}))
 
     def __repr__(self):
         return (f"FlattenedQuantile(level={self.level}, "

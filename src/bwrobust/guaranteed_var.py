@@ -6,7 +6,9 @@ worst-case VaR of the same position.  Dualizing the cap (multiplier
 ``lam``) and the ball budget (multiplier ``beta``) reduces the inner
 adversary problem to a pointwise maximization whose solution ``G*`` may
 jump upward at the worst-case VaR ``v_upper``; a flat-segment modification
-at a level ``b`` restores monotonicity.  The outer searches pick ``beta``
+at a level ``b`` restores monotonicity.  The pointwise maximizer belongs to
+the distortion: TVaR supplies it in closed form, other distortions are
+bisected on the right derivative.  The outer searches pick ``beta``
 to exhaust the divergence budget, ``b`` to maximize the dual objective,
 and ``lam`` (with the marginal-coverage tie-break ``eta_tilde``) to
 satisfy the KKT conditions of the VaR cap.
@@ -22,7 +24,8 @@ import numpy as np
 from .errors import DomainError, InfeasibleError, NumericsError
 from .indemnity import Indemnity, expected_value_premium, indemnity_from_sign_regions
 from .numerics import (TailIntegral, adaptive_quad, classify_sign_regions,
-                       gauss_nodes_weights, golden_max, illinois_root)
+                       gauss_nodes_weights, gauss_sums, golden_max,
+                       illinois_root)
 from .var_bounds import worst_case_var
 
 logger = logging.getLogger(__name__)
@@ -182,7 +185,8 @@ def g_hat(x, beta, scenario):
 
     The smallest ``t`` in ``[S_0(x), 1]`` past which the right derivative of
     ``g(t) - beta * (marginal divergence cost)`` is nonpositive; at
-    ``beta = 0`` this is ``ginv(1) v S_0(x)``.
+    ``beta = 0`` this is ``ginv(1) v S_0(x)``.  A distortion that carries a
+    closed-form ``maximizer`` (TVaR) supplies it; any other is bisected.
     """
     if beta < 0.0:
         raise DomainError(f"beta must be nonnegative, got {beta}")
@@ -195,27 +199,37 @@ def g_hat(x, beta, scenario):
     else:
         gen = scenario.generator
         phix = np.asarray(gen.dphi(np.clip(x_arr, 0.0, gen.domain_max)), dtype=float)
-        gpr = dist.gprime_right
-        dphi = gen.dphi
-        surv_inv = f0.survival_inverse  # exact in the deep tail
-
-        def kprime(t):
-            q = surv_inv(t)
-            return np.asarray(gpr(t), dtype=float) - beta * (
-                phix - np.asarray(dphi(q), dtype=float))
-
-        # bisect in log space: the deep tail needs relative, not absolute,
-        # resolution in the survival level
-        lo = np.log(np.maximum(s0, _TINY))
-        hi = np.zeros_like(s0)
-        at_lo = kprime(s0) <= 0.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            pred = kprime(np.exp(mid)) <= 0.0
-            hi = np.where(pred, mid, hi)
-            lo = np.where(pred, lo, mid)
-        out = np.where(at_lo, s0, np.maximum(np.exp(hi), s0))
+        if dist.maximizer is not None:
+            out = dist.maximizer(phix, s0, beta, f0, gen)
+        else:
+            out = _g_hat_bisect(phix, s0, beta, scenario)
     return float(out[0]) if np.asarray(x).ndim == 0 else out
+
+
+def _g_hat_bisect(phix, s0, beta, scenario):
+    """Bisect ``k'(t) <= 0`` over ``[S_0(x), 1]`` given ``phi'(x)``, ``S_0(x)``
+    and ``beta > 0``; valid for every concave distortion since ``k'`` is
+    nonincreasing in ``t``."""
+    gpr = scenario.distortion.gprime_right
+    dphi = scenario.generator.dphi
+    surv_inv = scenario.benchmark.survival_inverse  # exact in the deep tail
+
+    def kprime(t):
+        q = surv_inv(t)
+        return np.asarray(gpr(t), dtype=float) - beta * (
+            phix - np.asarray(dphi(q), dtype=float))
+
+    # bisect in log space: the deep tail needs relative, not absolute,
+    # resolution in the survival level
+    lo = np.log(np.maximum(s0, _TINY))
+    hi = np.zeros_like(s0)
+    at_lo = kprime(s0) <= 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        pred = kprime(np.exp(mid)) <= 0.0
+        hi = np.where(pred, mid, hi)
+        lo = np.where(pred, lo, mid)
+    return np.where(at_lo, s0, np.maximum(np.exp(hi), s0))
 
 
 def _in_intervals(x, intervals, closes_at=None):
@@ -406,11 +420,23 @@ class _InnerProblem:
         jump_hi = float(np.atleast_1d(
             g_star(np.array([self.vu]), beta, self.lam, self.sc, self.vu,
                    self.partition))[0])
-        # precomputed transforms make each clip level b an O(n) evaluation
-        data = {"gstar": gstar,
-                "g_of_gstar": np.asarray(self.sc.distortion.g(gstar), dtype=float),
-                "w_of_gstar": self.cache.w_of_s(gstar),
-                "jump": (jump_lo, jump_hi)}
+        g_of = np.asarray(self.sc.distortion.g(gstar), dtype=float)
+        w_of = self.cache.w_of_s(gstar)
+        # a flat level b in [blo, bhi] can only replace left values below bhi
+        # and right values above blo; every other node adds a constant to the
+        # dual objective, summed once per beta
+        blo, bhi = min(jump_lo, jump_hi), jump_hi
+        active = np.where(self.left, gstar < bhi, gstar > blo)
+        fixed = ~active
+        integrand = (np.minimum(g_of[fixed], self.capval[fixed])
+                     - beta * (self.phip[fixed] * gstar[fixed] - w_of[fixed]))
+        data = {"gstar": gstar, "w_of_gstar": w_of,
+                "jump": (jump_lo, jump_hi),
+                "fixed_value": float(np.dot(self.weights[fixed], integrand)),
+                "active": {k: v[active] for k, v in (
+                    ("left", self.left), ("gstar", gstar), ("g", g_of),
+                    ("w", w_of), ("cap", self.capval), ("phip", self.phip),
+                    ("weights", self.weights))}}
         if len(self._beta_cache) > 8:
             self._beta_cache.clear()
         self._beta_cache[key] = data
@@ -442,21 +468,27 @@ class _InnerProblem:
         budget = self.phip * svals - self.cache.w_of_s(svals)
         return float(np.dot(self.weights, gain - beta * budget))
 
-    def _lagrangian_cached(self, beta, b):
-        # clipping replaces curve values by the constant b, so the distortion
-        # and budget transforms of the clipped curve are selections between
-        # cached arrays and two scalars
+    def flat_level_values(self, beta, bs):
+        """Dual objective of the curve flattened at each level in ``bs``,
+        which must lie in ``admissible_b(beta)``.
+
+        Clipping replaces curve values by the constant b, so the distortion
+        and budget transforms of the clipped curve are selections between
+        cached arrays and per-level scalars; one (levels x nodes) pass covers
+        the nodes that an admissible level can clip.
+        """
         data = self._node_curves(beta)
-        gstar = data["gstar"]
-        clipped = (self.left & (gstar < b)) | (~self.left & (gstar > b))
+        act = data["active"]
+        bs = np.atleast_1d(np.asarray(bs, dtype=float))
+        g_b = np.asarray(self.sc.distortion.g(bs), dtype=float)[:, None]
+        w_b = self.cache.w_of_s(bs)[:, None]
+        b = bs[:, None]
+        gstar = act["gstar"]
+        clipped = np.where(act["left"], gstar < b, gstar > b)
         svals = np.where(clipped, b, gstar)
-        g_b = float(self.sc.distortion.g(float(b)))
-        w_b = float(self.cache.w_of_s(float(b)))
-        g = np.where(clipped, g_b, data["g_of_gstar"])
-        w = np.where(clipped, w_b, data["w_of_gstar"])
-        gain = np.minimum(g, self.capval)
-        budget = self.phip * svals - w
-        return float(np.dot(self.weights, gain - beta * budget))
+        gain = np.minimum(np.where(clipped, g_b, act["g"]), act["cap"])
+        budget = act["phip"] * svals - np.where(clipped, w_b, act["w"])
+        return data["fixed_value"] + (gain - beta * budget) @ act["weights"]
 
     def phi_budget(self, svals):
         return float(np.dot(self.weights,
@@ -481,18 +513,21 @@ class _InnerProblem:
 
         flags = self._flag_cells(gstar.reshape(ncell, 7), svals.reshape(ncell, 7), b)
         total = float(base_cells.sum())
-        for i in np.nonzero(flags)[0]:
-            lo, hi = self.edges[i], self.edges[i + 1]
-            if hi <= lo:
-                continue
-            sub = np.linspace(lo, hi, 17)
-            nodes, weights = gauss_nodes_weights(sub)
-            gs = np.atleast_1d(g_star(nodes, beta, self.lam, self.sc,
-                                      self.vu, self.partition))
-            sv = np.where(nodes < self.vu, np.maximum(gs, b), np.minimum(gs, b))
-            refined = float(np.dot(weights,
-                                   self.cache.phi_budget_values(nodes, sv)))
-            total += refined - float(base_cells[i])
+        cells = np.nonzero(flags)[0]
+        if cells.size:
+            # 16 sub-panels per flagged cell, all evaluated in one call
+            sub = np.linspace(self.edges[cells], self.edges[cells + 1], 17,
+                              axis=-1)
+
+            def budget(nodes):
+                gs = g_star(nodes, beta, self.lam, self.sc, self.vu,
+                            self.partition)
+                sv = np.where(nodes < self.vu, np.maximum(gs, b),
+                              np.minimum(gs, b))
+                return self.cache.phi_budget_values(nodes, sv)
+
+            refined = gauss_sums(budget, sub[:, :-1], sub[:, 1:]).sum(axis=1)
+            total += float((refined - base_cells[cells]).sum())
         return total
 
     def _flag_cells(self, gstar_mat, svals_mat, b):
@@ -527,10 +562,10 @@ class _InnerProblem:
             return bhi, None
 
         def value(b):
-            return self._lagrangian_cached(beta, b)
+            return float(self.flat_level_values(beta, b)[0])
 
         bs = np.linspace(blo, bhi, 17 if coarse else 65)
-        vals = np.array([value(b) for b in bs])
+        vals = self.flat_level_values(beta, bs)
         i = int(np.argmax(vals))  # first max: ties break toward smaller b
         lo = bs[max(i - 1, 0)]
         hi = bs[min(i + 1, len(bs) - 1)]
@@ -546,24 +581,32 @@ class _InnerProblem:
         return self._refined_budget(beta, b), b
 
     def materialize(self, beta, b):
-        """Dense curve with the jump knot duplicated and the flat inserted.
+        """Dense curve with the jump knots duplicated and the flat inserted.
 
         The grid is refined around the worst-case VaR so the returned
         piecewise-linear curve carries the same divergence budget as the
-        exact curve to well below the feasibility tolerance.
+        exact curve to well below the feasibility tolerance.  The knot at
+        ``v_upper`` and at every benchmark or insurer atom is duplicated, the
+        first copy holding the curve's left limit, so interpolation jumps
+        where the exact curve does instead of ramping below the benchmark.
         """
-        grid = self.edges
         m = self.m
         span = max(1.0, min(m - self.vu, 4.0 * self.vu))
         dense = np.linspace(max(0.0, self.vu - 0.5 * span),
                             min(m, self.vu + span), 4001)
-        grid = np.unique(np.concatenate([grid, dense, [self.vu]]))
+        atoms = np.array(sorted(
+            {float(a) for dist in (self.sc.benchmark, self.sc.insurer_survival)
+             for a in dist.atoms() if 0.0 < a <= m and a != self.vu}))
+        grid = np.unique(np.concatenate([self.edges, dense, [self.vu], atoms]))
         vals = np.atleast_1d(g_star(grid, beta, self.lam, self.sc, self.vu,
                                     self.partition))
-        iv = int(np.searchsorted(grid, self.vu))
-        jump_lo, jump_hi = self._node_curves(beta)["jump"]
-        grid = np.insert(grid, iv, self.vu)
-        vals = np.insert(vals, iv, jump_lo)
+        jump_lo, _ = self._node_curves(beta)["jump"]
+        left_limits = g_star(np.nextafter(atoms, -np.inf), beta, self.lam,
+                             self.sc, self.vu, self.partition)
+        at = np.concatenate([atoms, [self.vu]])
+        idx = np.searchsorted(grid, at)
+        grid = np.insert(grid, idx, at)
+        vals = np.insert(vals, idx, np.concatenate([left_limits, [jump_lo]]))
         curve = SurvivalCurve(grid, vals)
         return modified_survival(curve, b, self.vu)
 
@@ -618,6 +661,8 @@ class _InnerProblem:
         if abs(psi_star - zeta) > 1e-6 * scale:
             logger.warning("budget residual |psi - zeta| = %.3g at beta* = %.6g",
                            abs(psi_star - zeta), beta_star)
+        # only beta*'s node curves are read again (by materialize)
+        self._beta_cache = {float(beta_star): self._beta_cache[float(beta_star)]}
         return float(beta_star), b_star
 
 
@@ -653,15 +698,23 @@ def _net_price_regions(survival, lam, scenario, v_upper, *, grid=10_000,
     """Sign regions of the net price against an adversary curve."""
     m = scenario.support_max
     theta = scenario.theta
+    last = {"x": None, "s": None}
+
+    def curve(x):
+        # the classifier asks for the price and its zero scale on the same
+        # point array: evaluate the adversary curve once for both
+        if last["x"] is not x:
+            last["x"] = x
+            last["s"] = np.clip(np.asarray(survival(x), dtype=float), 0.0, 1.0)
+        return last["s"]
 
     def h(x):
-        return np.atleast_1d(net_price(x, survival, lam, scenario, v_upper))
+        return np.atleast_1d(net_price(x, curve, lam, scenario, v_upper))
 
     def scale(x):
         x = np.asarray(x, dtype=float)
         sq = scenario.insurer_survival.survival(np.clip(x, 0.0, m))
-        svals = np.clip(np.asarray(survival(x), dtype=float), 0.0, 1.0)
-        g = np.asarray(scenario.distortion.g(svals), dtype=float)
+        g = np.asarray(scenario.distortion.g(curve(x)), dtype=float)
         return np.maximum((1.0 + lam) * (1.0 + theta) * sq,
                           g + lam * (x <= v_upper))
 
@@ -691,9 +744,9 @@ def indemnity_from_survival(survival, lam, scenario, v_upper, eta_tilde=1.0,
         regions, scenario.support_max, eta=eta_tilde).simplified()
 
 
-def _residual_pair(ip, curve_fn, scenario, v_upper):
+def _residual_pair(lam, curve_fn, scenario, v_upper):
     """Constraint residual at eta = 0 and eta = 1 (regions computed once)."""
-    regions = _net_price_regions(curve_fn, ip.lam, scenario, v_upper)
+    regions = _net_price_regions(curve_fn, lam, scenario, v_upper)
     out = {"regions": regions}
     for eta in (0.0, 1.0):
         contract = indemnity_from_sign_regions(
@@ -742,7 +795,7 @@ def solve_problem2(scenario, *, grid=10_000, lam_max_doublings=20):
         ip = _InnerProblem(cache, lam, grid=grid)
         beta_star, b_star = ip.solve(beta_hint=beta_hint)
         curve_fn = ip.exact_curve(beta_star, b_star)
-        pair = _residual_pair(ip, curve_fn, scenario, v_upper)
+        pair = _residual_pair(lam, curve_fn, scenario, v_upper)
         return ip, beta_star, b_star, pair
 
     ip0, beta0, b0, pair0 = inner(0.0)
@@ -769,23 +822,22 @@ def solve_problem2(scenario, *, grid=10_000, lam_max_doublings=20):
             raise InfeasibleError(
                 f"no multiplier up to 2^{lam_max_doublings} closes the "
                 "guarantee", bound=None)
-        chosen = state_hi
-        states = {lam_hi: state_hi}
+        ftol = 1e-9 * max(1.0, abs(a_level))
+        # keep the smallest evaluated multiplier that closes the constraint;
+        # a residual within the root's tolerance closes it whatever its sign
+        best = [lam_hi, state_hi]
 
         def resid(lam):
-            state = inner(lam, beta_hint=chosen[1])
-            states[lam] = state
-            return state[3][1.0][0]
+            state = inner(lam, beta_hint=state_hi[1])
+            r = state[3][1.0][0]
+            if r <= ftol and lam <= best[0]:
+                best[:] = [lam, state]
+            return r
 
-        ftol = 1e-9 * max(1.0, abs(a_level))
         illinois_root(resid, lam_lo, lam_hi, flo=f_lo,
                       fhi=state_hi[3][1.0][0], ftol=ftol,
                       xtol=1e-9 * max(1.0, lam_hi), max_iter=60)
-        # keep the smallest evaluated multiplier that closes the constraint;
-        # a residual within the root's tolerance closes it whatever its sign
-        feasible = [(lam, st) for lam, st in states.items()
-                    if st[3][1.0][0] <= ftol]
-        lam_star, chosen = min(feasible, key=lambda kv: kv[0])
+        lam_star, chosen = best
         eta = _calibrate_eta(chosen[3], ftol)
 
     ip, beta_star, b_star, pair = chosen
@@ -834,16 +886,18 @@ def _calibrate_eta(pair, ftol):
 # ---------------------------------------------------------------------------
 
 def alternating_best_response(scenario, lam, beta, *, v_upper=None,
-                              n_cells=60, n_iter=8):
-    """Coarse-grid alternating check of the closed-form pipeline.
+                              n_cells=60):
+    """Coarse-grid best-response check of the closed-form pipeline.
 
     The curve step brute-forces the discretized dual objective cell by cell
     (1-d concave maximization plus the flat-segment repair at the worst-case
-    VaR), the contract step applies the marginal rule to the current curve.
-    A pure play against a fixed contract has no pure saddle on the
-    zero-price set, so the curve responds to the reduced integrand, which
-    already embeds the pointwise contract optimization.  The resulting
-    objective must match the analytic solution evaluated on the same grid.
+    VaR), the contract step applies the marginal rule to that curve.  A pure
+    play against a fixed contract has no pure saddle on the zero-price set,
+    so the curve responds to the reduced integrand, which already embeds the
+    pointwise contract optimization; the curve response therefore does not
+    depend on the contract, and one round of the alternation is its fixed
+    point.  The resulting objective must match the analytic solution
+    evaluated on the same grid.
     """
     cache = _ScenarioCache(scenario, v_upper)
     vu = cache.v_upper
@@ -907,13 +961,8 @@ def alternating_best_response(scenario, lam, beta, *, v_upper=None,
             s = np.where(left, np.maximum(s, best_b), np.minimum(s, best_b))
         return s
 
-    s = s0.copy()
-    trajectory = []
-    i_vals = contract_response(s)
-    for _ in range(n_iter):
-        s = curve_response()
-        i_vals = contract_response(s)
-        trajectory.append(value(i_vals, s))
+    s = curve_response()
+    final = value(contract_response(s), s)
 
     ip = _InnerProblem(cache, lam, grid=4000)
     b_star, _ = ip.best_b(beta)
@@ -922,5 +971,4 @@ def alternating_best_response(scenario, lam, beta, *, v_upper=None,
     # evaluate the analytic curve through the same grid contract response,
     # so the comparison is free of cell-boundary assignment noise
     analytic = value(contract_response(s_exact), s_exact)
-    return {"trajectory": trajectory, "analytic": analytic,
-            "final": trajectory[-1]}
+    return {"analytic": analytic, "final": final}

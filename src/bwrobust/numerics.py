@@ -46,7 +46,7 @@ def adaptive_quad(f, a, b, *, points=(), tol=1e-10, limit=500):
     return value
 
 
-def _gauss_sums(f, lo, hi):
+def gauss_sums(f, lo, hi):
     """Gauss-Legendre sums of a vectorized ``f`` over the panels ``[lo, hi]``
     (arrays of one shape), in one call of ``f``."""
     half = 0.5 * (hi - lo)
@@ -84,8 +84,8 @@ def panel_quad(f, a, b, *, points=(), tol=1e-10):
         for i in range(0, lo.size, _PANEL_BATCH):
             lo_i, mid_i, hi_i = (x[i:i + _PANEL_BATCH] for x in (lo, mid, hi))
             # rows: whole panel, left half, right half
-            parts.append(_gauss_sums(f, np.stack([lo_i, lo_i, mid_i]),
-                                     np.stack([hi_i, mid_i, hi_i])))
+            parts.append(gauss_sums(f, np.stack([lo_i, lo_i, mid_i]),
+                                    np.stack([hi_i, mid_i, hi_i])))
         sums = np.concatenate(parts, axis=1)
         val = sums[1] + sums[2]
         err = np.abs(val - sums[0])
@@ -264,7 +264,7 @@ class TailIntegral:
         self.lo = float(lo)
         self.hi = float(hi)
         self.edges = refine_edges(knots, lo, hi, max_cell=max_cell)
-        cell = _gauss_sums(f, self.edges[:-1], self.edges[1:])
+        cell = gauss_sums(f, self.edges[:-1], self.edges[1:])
         # cum[i] = integral from edges[i] to hi
         self.cum = np.concatenate([np.cumsum(cell[::-1])[::-1], [0.0]])
 
@@ -274,7 +274,7 @@ class TailIntegral:
         xf = np.atleast_1d(x)
         idx = np.searchsorted(self.edges, xf, side="left")
         idx = np.clip(idx, 0, len(self.edges) - 1)
-        out = self.cum[idx] + _gauss_sums(self.f, xf, self.edges[idx])
+        out = self.cum[idx] + gauss_sums(self.f, xf, self.edges[idx])
         return float(out[0]) if scalar else out
 
 

@@ -65,6 +65,12 @@ class TestTabulated:
         assert d.quantile(0.7) == pytest.approx(1.0)
         assert d.cdf(1.0) == pytest.approx(0.8)
 
+    def test_atoms_are_the_jumps(self, uniform01):
+        assert make_tabulated([(0, 0.0), (1, 0.5), (1, 0.8), (2, 1.0)]).atoms() == (1.0,)
+        two_point = make_tabulated([(1, 0.0), (1, 0.5), (2, 0.5), (2, 1.0)])
+        assert two_point.atoms() == (1.0, 2.0)
+        assert uniform01.atoms() == ()
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             make_tabulated([])
@@ -99,6 +105,11 @@ class TestFlattenedQuantile:
         flat = FlattenedQuantile(texp, texp.cdf(2.0), 0.95, level)
         assert flat.cdf(1.0) == pytest.approx(texp.cdf(1.0))
         assert flat.cdf(2.5) == pytest.approx(max(0.95, texp.cdf(2.5)))
+
+    def test_level_is_an_atom(self, texp):
+        assert texp.atoms() == ()
+        assert FlattenedQuantile(texp, 0.9, 0.95, texp.quantile(0.95)).atoms() == (
+            texp.quantile(0.95),)
 
     def test_invalid_window(self, texp):
         with pytest.raises(DomainError):

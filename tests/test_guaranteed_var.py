@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
-from bwrobust.bregman import bw_divergence_quantile
+from bwrobust.bregman import (bw_divergence_quantile,
+                              make_piecewise_quadratic_generator,
+                              make_xlogx_generator, quadratic_generator)
 from bwrobust.distortions import power_distortion, tvar_distortion
 from bwrobust.distributions import make_tabulated
 from bwrobust.errors import DomainError, InfeasibleError
 from bwrobust.guaranteed_var import (SurvivalCurve, _calibrate_eta,
-                                     _InnerProblem, _ScenarioCache,
+                                     _g_hat_bisect, _InnerProblem,
+                                     _ScenarioCache,
                                      alternating_best_response,
                                      g_hat, g_star, indemnity_from_survival,
                                      modified_survival, net_price, psi,
                                      region_partition, solve_inner,
                                      solve_problem2)
-from bwrobust.numerics import adaptive_quad
+from bwrobust.numerics import adaptive_quad, gauss_nodes_weights
 from bwrobust.scenario import MarketScenario
 from bwrobust.var_bounds import worst_case_var
 
@@ -111,6 +114,55 @@ class TestGHat:
         assert np.all(np.diff(vals) <= 1e-10)
 
 
+class TestTvarMaximizer:
+    """The TVaR distortion's closed-form maximizer against the bisection."""
+
+    BENCHMARKS = {
+        "atom": [(0, 0.0), (2, 0.6), (2, 0.8), (10, 1.0)],
+        # the atom at 0 leaves S0(0) = 0.03 below the tail mass 0.05
+        "atom_at_zero": [(0, 0.0), (0, 0.97), (5, 0.99), (5, 0.995), (10, 1.0)],
+    }
+
+    @pytest.mark.parametrize("name", ["texp", "atom", "atom_at_zero"])
+    @pytest.mark.parametrize("gen_kind", ["xlogx", "quadratic", "piecewise"])
+    def test_matches_bisection(self, texp, name, gen_kind):
+        bench = texp if name == "texp" else make_tabulated(self.BENCHMARKS[name])
+        m = bench.support_max
+        gen = {"xlogx": make_xlogx_generator(1.0, m),
+               "quadratic": quadratic_generator(m),
+               "piecewise": make_piecewise_quadratic_generator(0.3 * m, 3.0, m),
+               }[gen_kind]
+        knots = np.asarray(bench.x_breakpoints(), dtype=float)
+        # random points: where phi'(x) - 1/(beta (1-a)) equals phi' at an atom
+        # exactly (x = 5.005 on a round grid, quadratic generator, beta = 1e3),
+        # k' vanishes across the atom's survival gap, every level in the gap
+        # is a maximizer, and the bisection's rounding takes its upper end
+        rng = np.random.default_rng(8)
+        xs = np.unique(np.concatenate([
+            rng.uniform(0.0, m, 2000), [0.0, m], knots,
+            np.clip(np.nextafter(knots, -np.inf), 0.0, m)]))
+        s0 = bench.survival(xs)
+        phix = np.asarray(gen.dphi(xs), dtype=float)
+        for alpha in (0.9, 0.95):
+            sc = MarketScenario(theta=0.5, alpha=alpha, epsilon=0.01,
+                                benchmark=bench, insurer_survival=bench,
+                                generator=gen, distortion=tvar_distortion(alpha))
+            for beta in (0.0, 1e-3, 0.3, 1.0, 34.6, 1e3):
+                closed = g_hat(xs, beta, sc)
+                bisected = _g_hat_bisect(phix, s0, beta, sc)
+                assert np.max(np.abs(closed - bisected)) <= 1e-10, (alpha, beta)
+
+    def test_power_distortion_keeps_the_bisection(self, texp, xlogx100):
+        sc = MarketScenario(theta=0.5, alpha=0.9, epsilon=0.01, benchmark=texp,
+                            insurer_survival=texp, generator=xlogx100,
+                            distortion=power_distortion(0.5))
+        assert sc.distortion.maximizer is None
+        xs = np.linspace(0.0, 100.0, 101)
+        expected = _g_hat_bisect(np.asarray(xlogx100.dphi(xs)),
+                                 texp.survival(xs), 2.0, sc)
+        assert np.array_equal(g_hat(xs, 2.0, sc), expected)
+
+
 class TestGStar:
     def test_fully_ceded_regions_keep_benchmark(self, tvar_scenario, texp,
                                                 v_upper):
@@ -180,6 +232,51 @@ class TestModifiedSurvival:
         curve = self.build_jump_curve()
         with pytest.raises(DomainError):
             modified_survival(curve, 0.3, 2.0)
+
+
+class TestBatchedInnerEvaluations:
+    """The array passes of the inner solve against per-level and per-cell
+    evaluations of the same quantities."""
+
+    @pytest.fixture(scope="class")
+    def binding_inner(self, texp, xlogx100):
+        # the multipliers of the A = 1.401 solution: the relaxed curve jumps
+        # up at the worst-case VaR, so the flat level has a real interval
+        sc = guaranteed_scenario(texp, xlogx100, 1.401)
+        ip = _InnerProblem(_ScenarioCache(sc), 53.5)
+        return ip, 34.6
+
+    def test_flat_level_values_match_per_level_objective(self, binding_inner):
+        ip, beta = binding_inner
+        blo, bhi = ip.admissible_b(beta)
+        assert bhi - blo > 1e-3
+        bs = np.linspace(blo, bhi, 65)
+        batched = ip.flat_level_values(beta, bs)
+        gstar = ip._node_curves(beta)["gstar"]
+        per_level = np.array([ip.lagrangian_nodes(ip.clip_values(gstar, b), beta)
+                              for b in bs])
+        assert np.allclose(batched, per_level, rtol=1e-12, atol=0.0)
+
+    def test_refined_budget_matches_per_cell_loop(self, binding_inner):
+        ip, beta = binding_inner
+        b, _ = ip.best_b(beta)
+        gstar = ip._node_curves(beta)["gstar"]
+        svals = ip.clip_values(gstar, b)
+        ncell = len(ip.edges) - 1
+        base_cells = (ip.cache.phi_budget_values(ip.nodes, svals)
+                      * ip.weights).reshape(ncell, 7).sum(axis=1)
+        flags = ip._flag_cells(gstar.reshape(ncell, 7), svals.reshape(ncell, 7), b)
+        assert flags.any()
+        total = float(base_cells.sum())
+        for i in np.nonzero(flags)[0]:
+            nodes, weights = gauss_nodes_weights(
+                np.linspace(ip.edges[i], ip.edges[i + 1], 17))
+            gs = g_star(nodes, beta, ip.lam, ip.sc, ip.vu, ip.partition)
+            sv = np.where(nodes < ip.vu, np.maximum(gs, b), np.minimum(gs, b))
+            total += float(np.dot(weights, ip.cache.phi_budget_values(nodes, sv))
+                           - base_cells[i])
+        assert ip._refined_budget(beta, b) == pytest.approx(total, rel=1e-12,
+                                                            abs=1e-15)
 
 
 class TestPsiAndInner:
@@ -335,6 +432,22 @@ class TestSolveProblem2:
             vals = sol.worst_survival(xs)
             assert np.all(vals >= base_vals - 1e-9)
             assert np.max(vals - base_vals) > 1e-3
+
+    def test_curve_jumps_at_benchmark_atom(self):
+        # a slack point on a benchmark with mass 0.2 at x = 2: the emitted
+        # curve must keep the benchmark's left limit up to the atom instead
+        # of interpolating down to the post-jump value
+        tab = make_tabulated([(0, 0.0), (2, 0.6), (2, 0.8), (10, 1.0)])
+        sc = MarketScenario(theta=0.5, alpha=0.9, epsilon=0.01, benchmark=tab,
+                            insurer_survival=tab,
+                            generator=make_xlogx_generator(1.0, 10.0),
+                            distortion=tvar_distortion(0.9),
+                            acceptable_var=50.0)
+        curve = solve_problem2(sc).worst_survival
+        xs = np.concatenate([2.0 - np.geomspace(1e-6, 1e-12, 7),
+                             np.linspace(0.0, 10.0, 2001)])
+        assert np.all(curve(xs) >= tab.survival(xs) - 1e-9)
+        assert curve.is_nonincreasing(tol=1e-12)
 
     def test_infeasible_guarantee_reports_floor(self, texp, xlogx100):
         sc = guaranteed_scenario(texp, xlogx100, 1.30, epsilon=0.005)
