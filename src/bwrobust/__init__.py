@@ -24,7 +24,7 @@ from .errors import (BwRobustError, DomainError, InfeasibleError,
 from .guaranteed_var import (RegionPartition, RobustSolution, SurvivalCurve,
                              alternating_best_response, g_hat, g_star,
                              indemnity_from_survival, modified_survival,
-                             net_price, psi, region_partition, solve_inner,
+                             net_price, region_partition, solve_inner,
                              solve_problem2)
 from .indemnity import Indemnity, expected_value_premium
 from .scenario import MarketScenario
@@ -47,7 +47,7 @@ __all__ = [
     "load_tabulated", "make_piecewise_quadratic_generator", "make_tabulated",
     "make_truncated_exponential", "make_xlogx_generator", "maxmin_objective",
     "modified_survival", "net_price", "net_price_H", "parse_distortion",
-    "parse_generator", "pointwise_divergence", "power_distortion", "psi",
+    "parse_generator", "pointwise_divergence", "power_distortion",
     "quadratic_generator", "region_partition", "solve_inner", "solve_maxmin",
     "solve_problem2", "tail_budget", "thresholds", "tvar_distortion",
     "tvar_g_hat", "tvar_g_star", "tvar_g_star_value", "validate_distortion",

@@ -15,19 +15,17 @@ import numpy as np
 
 from .errors import DomainError
 from .indemnity import Indemnity, expected_value_premium, indemnity_from_sign_regions
-from .numerics import classify_sign_regions
+# not called here: the traced benchmark run (bench/tracing.py) wraps this
+# module attribute, so the name must keep resolving
+from .numerics import classify_sign_regions  # noqa: F401
 from .var_bounds import compute_var_bounds
 
 _CASES = (
-    # (predicate over (d1, d2, vl, vu), case id, layer builder)
-    (lambda d1, d2, vl, vu: d1 < vl < vu <= d2, "best_cap_layer",
-     lambda d1, d2, vl, vu: [(d1, vl)]),
-    (lambda d1, d2, vl, vu: d1 < vl <= d2 < vu, "two_layers",
-     lambda d1, d2, vl, vu: [(d1, vl), (d2, vu)]),
-    (lambda d1, d2, vl, vu: vl <= d1 <= d2 < vu, "worst_cap_high_deductible",
-     lambda d1, d2, vl, vu: [(d2, vu)]),
-    (lambda d1, d2, vl, vu: d1 <= d2 < vl < vu, "worst_cap_low_deductible",
-     lambda d1, d2, vl, vu: [(d1, vu)]),
+    # (predicate over (d1, d2, vl, vu), case id)
+    (lambda d1, d2, vl, vu: d1 < vl < vu <= d2, "best_cap_layer"),
+    (lambda d1, d2, vl, vu: d1 < vl <= d2 < vu, "two_layers"),
+    (lambda d1, d2, vl, vu: vl <= d1 <= d2 < vu, "worst_cap_high_deductible"),
+    (lambda d1, d2, vl, vu: d1 <= d2 < vl < vu, "worst_cap_low_deductible"),
 )
 
 
@@ -77,11 +75,11 @@ def thresholds(insurer_dist, theta, kappa):
     return d1, min(d2, insurer_dist.support_max)
 
 
-def _classify_case(d1, d2, vl, vu):
-    for pred, case_id, builder in _CASES:
+def _case_id(d1, d2, vl, vu):
+    for pred, case_id in _CASES:
         if pred(d1, d2, vl, vu):
-            return case_id, builder(d1, d2, vl, vu)
-    return "no_insurance", []
+            return case_id
+    return "no_insurance"
 
 
 def maxmin_objective(contract, scenario, v_upper, v_lower):
@@ -94,56 +92,47 @@ def maxmin_objective(contract, scenario, v_upper, v_lower):
             + premium)
 
 
-def solve_maxmin(scenario, *, tol=None, eta_on_ties=1.0, grid=10_000):
+def net_price_regions(insurer_dist, theta, kappa, v_lower, v_upper):
+    """Sign regions ``(a, b, sign)`` of :func:`net_price_H` on ``[0, M]``.
+
+    On ``(0, v_lower]``, ``(v_lower, v_upper]`` and ``(v_upper, M]`` the net
+    price is ``(1 + theta) S_Q - c`` with ``c = 1, kappa, 0``.  On each piece
+    it is positive until the survival falls to ``c / (1 + theta)``, zero
+    across a flat of the survival at that level and negative after it.
+    """
+    m = insurer_dist.support_max
+    regions = []
+    for lo, hi, c in ((0.0, v_lower, 1.0), (v_lower, v_upper, kappa),
+                      (v_upper, m, 0.0)):
+        lo, hi = min(lo, m), min(hi, m)
+        level = c / (1.0 + theta)
+        zero_lo = min(max(insurer_dist.survival_inverse(level), lo), hi)
+        zero_hi = min(max(insurer_dist.survival_inverse_right(level), zero_lo), hi)
+        regions += [(lo, zero_lo, 1), (zero_lo, zero_hi, 0), (zero_hi, hi, -1)]
+    return regions
+
+
+def solve_maxmin(scenario, *, eta_on_ties=1.0):
     """Closed-form optimal contract for the maxmin VaR model.
 
-    The contract is built from the sign of the net price (slope 1 where it is
-    negative, ``eta_on_ties`` where it vanishes on a set of positive length,
-    which only happens when the insurer survival is flat at a threshold
-    level).  The case label follows the ordering of the four corner points.
+    The contract has slope 1 where the net price is negative and
+    ``eta_on_ties`` where it vanishes on a set of positive length, which
+    only happens when the insurer survival is flat at a threshold level.
+    The case label follows the ordering of the four corner points.
     """
     bounds = compute_var_bounds(scenario.generator, scenario.benchmark,
-                                scenario.alpha, scenario.epsilon, tol)
+                                scenario.alpha, scenario.epsilon)
     vu, vl = bounds.v_upper, bounds.v_lower
     sq = scenario.insurer_survival
     d1, d2 = thresholds(sq, scenario.theta, scenario.kappa)
-    m = scenario.support_max
+    regions = net_price_regions(sq, scenario.theta, scenario.kappa, vl, vu)
+    contract = indemnity_from_sign_regions(
+        regions, scenario.support_max, eta=eta_on_ties).simplified()
 
-    regions = []
-    pieces = [(0.0, min(vl, m)), (min(vl, m), min(vu, m)), (min(vu, m), m)]
-    extra = [p for p in (d1, d2, *sq.x_breakpoints()) if 0.0 < p < m]
-
-    def cancel_scale(t):
-        # the two magnitudes whose near-cancellation defines a genuine tie
-        t = np.asarray(t, dtype=float)
-        premium_part = (1.0 + scenario.theta) * sq.survival(
-            np.clip(t, 0.0, sq.support_max))
-        value_part = (scenario.kappa * (t <= vu)
-                      + (1.0 - scenario.kappa) * (t <= vl))
-        return np.maximum(premium_part, value_part)
-
-    for lo, hi in pieces:
-        if hi - lo <= 1e-15 * max(1.0, m):
-            continue
-        regions.extend(classify_sign_regions(
-            lambda t: net_price_H(t, scenario.theta, scenario.kappa, sq, vu, vl),
-            lo, hi, n=max(64, int(grid * (hi - lo) / m)),
-            xtol=1e-12 * max(1.0, m),
-            zero_tol=1e-11, zero_scale=cancel_scale,
-            extra_points=[p for p in extra if lo < p < hi]))
-    contract = indemnity_from_sign_regions(regions, m, eta=eta_on_ties).simplified()
-
-    case_id, _ = _classify_case(d1, d2, vl, vu)
     premium = expected_value_premium(contract, sq, scenario.theta)
     objective = (scenario.kappa * (vu - contract(vu))
                  + (1.0 - scenario.kappa) * (vl - contract(vl))
                  + premium)
     return MaxminSolution(indemnity=contract, d1=d1, d2=d2, v_upper=vu,
                           v_lower=vl, premium=premium, objective=objective,
-                          case_id=case_id)
-
-
-def closed_form_layers(d1, d2, v_lower, v_upper):
-    """Layer corners of the explicit optimal contract for each ordering."""
-    _, layers = _classify_case(d1, d2, v_lower, v_upper)
-    return layers
+                          case_id=_case_id(d1, d2, vl, vu))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import TailIntegral, adaptive_quad, bisect_root, panel_quad
+from .numerics import TailIntegral, adaptive_quad, panel_quad
 
 
 @dataclass(frozen=True)
@@ -25,38 +25,22 @@ class BregmanGenerator:
     """Strictly convex C1 generator on ``[0, domain_max]``.
 
     ``d2phi`` may be discontinuous on a null set (the right limit is used at
-    kinks, whose locations are listed in ``kinks``).  ``dphi_inverse`` inverts
-    the increasing derivative; a bisection fallback is installed when no
-    closed form is supplied.
+    kinks, whose locations are listed in ``kinks``).  ``dphi_inverse`` is the
+    closed-form inverse of the increasing derivative.
     """
 
     phi: Callable
     dphi: Callable
     d2phi: Callable
     domain_max: float
+    dphi_inverse: Callable
     name: str = ""
     kinks: tuple = ()
-    dphi_inverse: Callable | None = None
 
     def dphi_inv(self, u):
-        if self.dphi_inverse is not None:
-            lo = self.dphi(0.0)
-            hi = self.dphi(self.domain_max)
-            return np.clip(self.dphi_inverse(np.clip(u, lo, hi)), 0.0, self.domain_max)
-        return self._dphi_inv_bisect(u)
-
-    def _dphi_inv_bisect(self, u):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        out = np.empty_like(u_arr)
-        for i, ui in enumerate(u_arr):
-            if ui <= self.dphi(0.0):
-                out[i] = 0.0
-            elif ui >= self.dphi(self.domain_max):
-                out[i] = self.domain_max
-            else:
-                out[i] = bisect_root(lambda x: self.dphi(x) - ui, 0.0,
-                                     self.domain_max, xtol=1e-13 * max(1.0, self.domain_max))
-        return float(out[0]) if np.isscalar(u) or np.asarray(u).ndim == 0 else out
+        lo = self.dphi(0.0)
+        hi = self.dphi(self.domain_max)
+        return np.clip(self.dphi_inverse(np.clip(u, lo, hi)), 0.0, self.domain_max)
 
 
 def quadratic_generator(domain_max):

@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,10 +46,6 @@ class ScenarioConfig:
     sweep: list = field(default_factory=list)
     numerics: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
-
-    @property
-    def tol(self):
-        return float(self.numerics.get("tol", 1e-8))
 
     @property
     def grid(self):
@@ -253,8 +248,7 @@ def _solve_point(config, label, overrides, base_dir):
     curves = {}
     m = scenario.support_max
     if config.model == "alpha_maxmin":
-        sol = alpha_maxmin.solve_maxmin(scenario, eta_on_ties=config.eta,
-                                        grid=config.grid)
+        sol = alpha_maxmin.solve_maxmin(scenario, eta_on_ties=config.eta)
         record.update(
             v_upper=sol.v_upper, v_lower=sol.v_lower, d1=sol.d1, d2=sol.d2,
             case_id=sol.case_id, lambda_star=None, beta_star=None,
@@ -287,23 +281,10 @@ def _solve_point(config, label, overrides, base_dir):
     return record, curves
 
 
-def run_scenario(config, *, base_dir=None, threads=1):
-    """Solve every sweep point; returns the report dict.
-
-    Points may be solved concurrently, but records are assembled in
-    declaration order so the output is deterministic.
-    """
-    points = _sweep_points(config)
-    results = [None] * len(points)
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_solve_point, config, label, ov, base_dir)
-                       for label, ov in points]
-            for i, fut in enumerate(futures):
-                results[i] = fut.result()
-    else:
-        for i, (label, ov) in enumerate(points):
-            results[i] = _solve_point(config, label, ov, base_dir)
+def run_scenario(config, *, base_dir=None):
+    """Solve every sweep point in declaration order; returns the report dict."""
+    results = [_solve_point(config, label, ov, base_dir)
+               for label, ov in _sweep_points(config)]
     report = {
         "model": config.model,
         "alpha": config.alpha,
@@ -366,7 +347,6 @@ def main(argv=None):
     p_solve.add_argument("--out", type=Path, default=None,
                          help="output directory (default: from the config)")
     p_solve.add_argument("--format", choices=("csv", "json"), default=None)
-    p_solve.add_argument("--threads", type=int, default=1)
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("config", type=Path)
     args = parser.parse_args(argv)
@@ -390,8 +370,7 @@ def main(argv=None):
     out_dir = args.out or config.output.get("directory", "out")
     fmt = args.format or config.output.get("format", "csv")
     try:
-        report, curves = run_scenario(config, base_dir=args.config.parent,
-                                      threads=max(1, args.threads))
+        report, curves = run_scenario(config, base_dir=args.config.parent)
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

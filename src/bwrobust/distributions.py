@@ -245,7 +245,8 @@ class TabulatedCdf(LossDistribution):
         prev = np.maximum(idx_c - 1, 0)
         x_lo = self.xs[prev]
         p_lo = self.ps[prev]
-        rising = inside & (idx_c > 0) & (p_hi > p_lo) & (x_hi > x_lo) & (t > p_lo)
+        # t == p_lo: the level set ends at the knot x_lo, frac is 0
+        rising = inside & (idx_c > 0) & (p_hi > p_lo) & (x_hi > x_lo) & (t >= p_lo)
         frac = np.where(rising, (t - p_lo) / np.where(p_hi > p_lo, p_hi - p_lo, 1.0), 0.0)
         out = np.where(rising, x_lo + frac * (x_hi - x_lo), x_hi)
         out = np.where(~inside, self.support_max, out)

@@ -670,14 +670,6 @@ class _InnerProblem:
 # public solver surface
 # ---------------------------------------------------------------------------
 
-def psi(beta, lam, scenario, *, v_upper=None, grid=10_000):
-    """Divergence budget of the optimal modified curve at multipliers
-    ``(beta, lam)``; the flat level is chosen internally."""
-    cache = _ScenarioCache(scenario, v_upper)
-    ip = _InnerProblem(cache, lam, grid=grid)
-    return ip.psi(beta)[0]
-
-
 def solve_inner(lam, scenario, *, v_upper=None, grid=10_000, _cache=None,
                 beta_hint=None):
     """Worst-case survival curve for a fixed VaR-cap multiplier.

@@ -129,30 +129,6 @@ def bisect_predicate(pred, lo, hi, *, xtol, max_iter=200):
     return hi
 
 
-def bisect_root(f, lo, hi, *, xtol, flo=None, fhi=None, max_iter=200):
-    """Bisection root of a (piecewise) continuous sign-changing function."""
-    flo = f(lo) if flo is None else flo
-    fhi = f(hi) if fhi is None else fhi
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise NumericsError(f"no sign change on [{lo}, {hi}]")
-    for _ in range(max_iter):
-        if hi - lo <= xtol:
-            break
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if fm * flo < 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
-
-
 def illinois_root(f, lo, hi, *, flo=None, fhi=None, ftol, xtol, max_iter=100):
     """Bracketed regula falsi with Illinois damping.
 

@@ -51,9 +51,3 @@ class MarketScenario:
     @property
     def support_max(self):
         return self.benchmark.support_max
-
-    def benchmark_survival(self, x):
-        return self.benchmark.survival(x)
-
-    def insurer_surv(self, x):
-        return self.insurer_survival.survival(x)

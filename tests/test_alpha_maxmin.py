@@ -3,14 +3,80 @@
 import numpy as np
 import pytest
 
-from bwrobust.alpha_maxmin import (closed_form_layers, maxmin_objective,
-                                   net_price_H, solve_maxmin, thresholds)
+from bwrobust.alpha_maxmin import (maxmin_objective, net_price_H,
+                                   net_price_regions, solve_maxmin, thresholds)
 from bwrobust.bregman import make_piecewise_quadratic_generator, quadratic_generator
-from bwrobust.distributions import make_tabulated
-from bwrobust.indemnity import Indemnity
+from bwrobust.distributions import make_tabulated, make_truncated_exponential
+from bwrobust.indemnity import Indemnity, indemnity_from_sign_regions
+from bwrobust.numerics import classify_sign_regions
 from bwrobust.scenario import MarketScenario
 
 from conftest import layered_scenario
+
+
+def closed_form_layers(d1, d2, v_lower, v_upper):
+    """Layer corners of the explicit optimal contract for each ordering of
+    the deductibles and the extremal VaRs (the oracle of the solver)."""
+    if d1 < v_lower < v_upper <= d2:
+        return [(d1, v_lower)]
+    if d1 < v_lower <= d2 < v_upper:
+        return [(d1, v_lower), (d2, v_upper)]
+    if v_lower <= d1 <= d2 < v_upper:
+        return [(d2, v_upper)]
+    if d1 <= d2 < v_lower < v_upper:
+        return [(d1, v_upper)]
+    return []
+
+
+def scanned_contract(sq, theta, kappa, v_lower, v_upper, eta):
+    """The contract from a sampled sign scan of the net price: 10k points,
+    every sign change bisected to 1e-12, a zero band of 1e-11 relative to
+    the two cancelling magnitudes."""
+    m = sq.support_max
+
+    def price(t):
+        return net_price_H(t, theta, kappa, sq, v_upper, v_lower)
+
+    def cancel_scale(t):
+        t = np.asarray(t, dtype=float)
+        premium_part = (1.0 + theta) * sq.survival(np.clip(t, 0.0, m))
+        value_part = kappa * (t <= v_upper) + (1.0 - kappa) * (t <= v_lower)
+        return np.maximum(premium_part, value_part)
+
+    d1, d2 = thresholds(sq, theta, kappa)
+    extra = [p for p in (d1, d2, *sq.x_breakpoints()) if 0.0 < p < m]
+    regions = []
+    pieces = [(0.0, min(v_lower, m)), (min(v_lower, m), min(v_upper, m)),
+              (min(v_upper, m), m)]
+    for lo, hi in pieces:
+        if hi - lo <= 1e-15 * max(1.0, m):
+            continue
+        regions.extend(classify_sign_regions(
+            price, lo, hi, n=max(64, int(10_000 * (hi - lo) / m)),
+            xtol=1e-12 * max(1.0, m), zero_tol=1e-11, zero_scale=cancel_scale,
+            extra_points=[p for p in extra if lo < p < hi]))
+    return indemnity_from_sign_regions(regions, m, eta=eta).simplified()
+
+
+def insurer_with_ties(rng, theta, kappa, m=4.0):
+    """Random tabulated CDF on ``[0, m]`` with a flat and an atom edge exactly
+    at survival levels ``c / (1 + theta)``, where the net price can vanish."""
+    ties = [1.0 - c / (1.0 + theta) for c in (1.0, kappa, 0.0)]
+    flat = ties[rng.integers(3)]
+    edge = ties[rng.integers(2)]
+    jump = rng.uniform(0.02, 0.2)
+    lo, hi = ((edge, min(1.0, edge + jump)) if rng.random() < 0.5
+              else (max(0.0, edge - jump), edge))
+    # (probability, order among equal probabilities); the jump's two knots
+    # share one loss, so no other knot may fall inside the jump
+    knots = [(p, 0) for p in rng.uniform(0.0, 1.0, size=rng.integers(1, 5))]
+    knots += [(flat, 0), (flat, 0), (lo, 1), (hi, 2), (1.0, 3)]
+    knots = sorted(k for k in knots if k[1] or not lo < k[0] < hi)
+    xs = np.sort(rng.uniform(0.0, m, size=len(knots)))
+    xs[-1] = m
+    i = knots.index((lo, 1))
+    xs[i + 1] = xs[i]
+    return make_tabulated([(0.0, 0.0)] + [(x, p) for x, (p, _) in zip(xs, knots)])
 
 
 class TestNetPrice:
@@ -122,6 +188,46 @@ class TestSolve:
         assert closed_form_layers(0.5, 0.6, 0.2, 0.4) == []
 
 
+class TestClosedFormAgainstScan:
+    def test_layered_example_is_the_closed_form_layer(self, maxmin_solutions):
+        for sol in maxmin_solutions.values():
+            (attach, detach), = closed_form_layers(sol.d1, sol.d2, sol.v_lower,
+                                                   sol.v_upper)
+            xs = sol.indemnity.breakpoints
+            assert np.array_equal(sol.indemnity.slopes, [0.0, 1.0, 0.0])
+            assert abs(xs[1] - attach) <= 2 * np.spacing(attach)
+            assert xs[2] == detach
+            assert xs[3] == 100.0
+
+    def test_seeded_draws_match_the_sign_scan(self):
+        rng = np.random.default_rng(20261019)
+        for draw in range(240):
+            theta = float(rng.uniform(0.05, 3.0))
+            kappa = (0.0, 1.0, float(rng.uniform(0.0, 1.0)))[draw % 3]
+            eta = (0.0, 0.37, 1.0)[(draw // 3) % 3]
+            if draw % 4:
+                sq = insurer_with_ties(rng, theta, kappa)
+            else:
+                sq = make_truncated_exponential(float(rng.uniform(0.3, 1.5)), 4.0)
+            m = sq.support_max
+            v_lower, v_upper = np.sort(rng.uniform(0.0, m, size=2))
+            if rng.random() < 0.25:
+                v_upper = m
+            closed = indemnity_from_sign_regions(
+                net_price_regions(sq, theta, kappa, v_lower, v_upper), m,
+                eta=eta).simplified()
+            scanned = scanned_contract(sq, theta, kappa, v_lower, v_upper, eta)
+            bc, bs = closed.breakpoints, scanned.breakpoints
+            gaps = np.abs(bc[:, None] - bs[None, :])
+            assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-8, draw
+            xs = rng.uniform(0.0, m, size=2000)
+            near = np.abs(xs[:, None] - np.concatenate([bc, bs])).min(axis=1) <= 1e-8
+            price = net_price_H(xs, theta, kappa, sq, v_upper, v_lower)
+            keep = (np.abs(price) > 1e-9) & ~near
+            assert np.array_equal(closed.slope_at(xs[keep]),
+                                  scanned.slope_at(xs[keep])), draw
+
+
 class TestOptimality:
     def test_marginal_price_consistency(self, maxmin_solutions, texp):
         sol = maxmin_solutions[2.0]
@@ -168,3 +274,5 @@ class TestEtaKnob:
         mid = 0.4
         assert full.indemnity.slope_at(mid) == pytest.approx(1.0)
         assert none.indemnity.slope_at(mid) == pytest.approx(0.0)
+        # past the flat the price is negative again, whatever eta is
+        assert none.indemnity.slope_at(0.6) == pytest.approx(1.0)

@@ -107,13 +107,6 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse_generator("piecewise_quadratic(q_alpha, 2.0)", 5.0)
 
-    def test_dphi_inverse_bisection_fallback(self):
-        gen = quadratic_generator(10.0)
-        no_inv = type(gen)(phi=gen.phi, dphi=gen.dphi, d2phi=gen.d2phi,
-                           domain_max=10.0)
-        us = np.linspace(0.5, 19.5, 11)
-        assert np.max(np.abs(no_inv.dphi_inv(us) - us / 2.0)) <= 1e-10
-
 
 class TestDivergenceRepresentations:
     def test_uniform_pair_analytic(self, quad1):

@@ -114,14 +114,6 @@ class TestRunScenario:
         assert rec["v_upper"] == pytest.approx(q, abs=1e-2)
         assert rec["v_lower"] == pytest.approx(q, abs=1e-2)
 
-    def test_threads_match_serial(self):
-        config = validate_config(MAXMIN_RAW)
-        serial, _ = run_scenario(config, threads=1)
-        parallel, _ = run_scenario(config, threads=3)
-        for a, b in zip(serial["records"], parallel["records"]):
-            assert a["v_upper"] == b["v_upper"]
-            assert a["premium"] == b["premium"]
-
 
 class TestEmission:
     def test_one_csv_per_panel(self, emitted):

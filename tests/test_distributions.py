@@ -116,6 +116,24 @@ class TestFlattenedQuantile:
             FlattenedQuantile(texp, 0.9, 0.5, 1.0)
 
 
+def _levels_below_one(d):
+    """Every knot probability below 1 and the midpoints between them."""
+    knots = np.unique(d.ps[d.ps < 1.0])
+    return np.concatenate([knots, 0.5 * (knots + np.append(knots[1:], 1.0))])
+
+
+def _right_inverse_oracle(d, ts):
+    """``inf{x : F(x) > t}`` by bisection on the predicate ``F(x) > t``."""
+    lo = np.zeros_like(ts)
+    hi = np.full_like(ts, d.support_max)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        above = d.cdf(mid) > ts
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)
+    return np.where(d.cdf(0.0) > ts, 0.0, hi)
+
+
 class TestGeneralizedInverseProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
@@ -139,6 +157,36 @@ class TestGeneralizedInverseProperties:
         # flat CDF on [1, 2]: the generalized inverse picks the left end
         assert d.quantile(0.5) == pytest.approx(1.0)
         assert d.quantile(0.5 + 1e-12) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("knots", [
+        [(0, 0), (2, 0.6), (10, 1)],
+        [(0, 0), (2, 0.6), (2, 0.8), (10, 1)],
+        [(0, 0), (1, 0.3), (2, 0.3), (2, 0.5), (3, 0.8), (4, 0.8), (5, 1)],
+        [(0, 0), (0, 0.4), (2, 0.4), (4, 1)],
+        [(0, 0.2), (1, 0.2), (3, 0.7), (3, 1)],
+    ])
+    def test_quantile_right_at_knot_levels(self, knots):
+        d = make_tabulated(knots)
+        ts = _levels_below_one(d)
+        assert np.allclose(d.quantile_right(ts), _right_inverse_oracle(d, ts),
+                           rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=10_000))
+    def test_quantile_right_with_flats_and_atoms(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        xs = np.sort(rng.uniform(0.0, 4.0, size=n))
+        xs[-1] = 4.0
+        # probabilities on a coarse grid repeat, which makes flats
+        ps = np.sort(np.round(rng.uniform(0.0, 1.0, size=n), 1))
+        ps[-1] = 1.0
+        i = int(rng.integers(0, n - 2))
+        xs[i + 1] = xs[i]  # a jump (an atom when the probabilities differ)
+        d = make_tabulated([(0.0, 0.0)] + list(zip(xs, ps)))
+        ts = _levels_below_one(d)
+        assert np.allclose(d.quantile_right(ts), _right_inverse_oracle(d, ts),
+                           rtol=0.0, atol=1e-12)
 
     def test_round_trip_continuous(self, texp, uniform01):
         # x-grid through quantiles, keeping 1 - F(x) far enough from the

@@ -14,7 +14,7 @@ from bwrobust.guaranteed_var import (SurvivalCurve, _calibrate_eta,
                                      _ScenarioCache,
                                      alternating_best_response,
                                      g_hat, g_star, indemnity_from_survival,
-                                     modified_survival, net_price, psi,
+                                     modified_survival, net_price,
                                      region_partition, solve_inner,
                                      solve_problem2)
 from bwrobust.numerics import adaptive_quad, gauss_nodes_weights
@@ -60,6 +60,16 @@ class TestRegionPartition:
     def test_x1_threshold(self, tvar_scenario, v_upper):
         part = region_partition(tvar_scenario, 0.0, v_upper)
         assert part.x1 == pytest.approx(np.log(1.5), abs=1e-9)
+
+    def test_x1_at_an_insurer_knot(self, texp, xlogx100):
+        # the insurer survival reaches 1/(1 + theta) = 0.5 at its knot x = 2
+        # and keeps falling, so the level set ends there, not at the next knot
+        insurer = make_tabulated([(0, 0), (2, 0.5), (10, 0.97), (100, 1)])
+        sc = MarketScenario(theta=1.0, alpha=0.95, epsilon=0.005,
+                            benchmark=texp, insurer_survival=insurer,
+                            generator=xlogx100, distortion=tvar_distortion(0.95),
+                            acceptable_var=20.0)
+        assert region_partition(sc, 0.0, 20.0).x1 == 2.0
 
     def test_x2_collapses_at_lambda_zero(self, tvar_scenario, v_upper):
         part = region_partition(tvar_scenario, 0.0, v_upper)
@@ -284,7 +294,7 @@ class TestPsiAndInner:
         # at lambda = 0 the adversary keeps the benchmark, whose budget
         # equals -int d2phi(y) y S0(y) dy by the survival representation
         cache = _ScenarioCache(tvar_scenario)
-        val = psi(0.0, 0.0, tvar_scenario, v_upper=cache.v_upper)
+        val = _InnerProblem(cache, 0.0).psi(0.0)[0]
         oracle = -adaptive_quad(
             lambda y: float(xlogx100.d2phi(y)) * y * texp.survival(min(y, 100.0)),
             0.0, 100.0, tol=1e-11)
