@@ -1,12 +1,11 @@
 """Quadrature and one-dimensional search kernels.
 
-Everything here works on plain floats and numpy arrays.  Scalar adaptive
-quadrature is delegated to QUADPACK via :func:`scipy.integrate.quad`
-(:func:`adaptive_quad`); vectorized integrands that are smooth between known
-breakpoints go to :func:`panel_quad`, an error-controlled Gauss-Legendre panel
-rule evaluated in array calls.  The same Gauss panels back the tail-integral
-tables and the fixed panel machinery of the worst-case-distribution solver,
-where integrands are piecewise smooth with known knots.
+Everything here works on plain floats and numpy arrays.  Vectorized
+integrands that are smooth between known breakpoints go to :func:`panel_quad`,
+an error-controlled Gauss-Legendre panel rule evaluated in array calls; every
+divergence integral runs on it.  Scalar adaptive quadrature is delegated to
+QUADPACK (:func:`adaptive_quad`).  The same Gauss panels back the tail-integral
+tables and the fixed panel machinery of the worst-case-distribution solver.
 """
 
 from __future__ import annotations

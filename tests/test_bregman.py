@@ -108,6 +108,21 @@ class TestValidation:
             parse_generator("piecewise_quadratic(q_alpha, 2.0)", 5.0)
 
 
+def knots_with_atom(rng, n, atom, support_max=4.0):
+    """Random piecewise-linear CDF with ``n`` interior knots on [0, M], with
+    one atom at an interior knot when ``atom`` is set."""
+    xs = np.sort(rng.uniform(0.0, support_max, size=n))
+    ps = np.sort(rng.uniform(0.0, 1.0, size=n))
+    knots = [(0.0, 0.0)] + list(zip(xs, ps))
+    if atom:
+        i = int(rng.integers(1, n + 1))
+        x_at, p_at = knots[i]
+        jump = min(1.0, p_at + rng.uniform(0.02, 0.2))
+        knots = (knots[: i + 1] + [(x_at, jump)]
+                 + [(x, max(p, jump)) for x, p in knots[i + 1:]])
+    return make_tabulated(knots + [(support_max, 1.0)])
+
+
 class TestDivergenceRepresentations:
     def test_uniform_pair_analytic(self, quad1):
         gen = quadratic_generator(2.0)
@@ -148,6 +163,25 @@ class TestDivergenceRepresentations:
                 a = bw_divergence_quantile(gen, f1, f2)
                 b = bw_divergence_survival(gen, f1, f2)
                 assert a == pytest.approx(b, abs=1e-6)
+
+    def test_representation_equivalence_pairs_with_atoms(self):
+        # pairs shaped like the benchmark audit's: 2-7 interior knots, every
+        # other CDF with an atom, so the survival form's cross term kinks
+        # where one survival curve crosses the other's levels on both sides
+        # of an atom
+        rng = np.random.default_rng(5)
+        shapes = ((2, False), (3, True), (4, False), (5, True), (6, False),
+                  (7, True))
+        gens = (quadratic_generator(4.0), make_xlogx_generator(1.0, 4.0),
+                make_piecewise_quadratic_generator(1.5, 2.0, 4.0))
+        for i in range(8):
+            for j, (n, atom) in enumerate(shapes):
+                m, atom2 = shapes[-1 - j]
+                gen = gens[(i + j) % 3]
+                f1 = knots_with_atom(rng, n, atom)
+                f2 = knots_with_atom(rng, m, atom2)
+                assert bw_divergence_quantile(gen, f1, f2) == pytest.approx(
+                    bw_divergence_survival(gen, f1, f2), abs=1e-9)
 
     def test_matches_sorted_coupling_wasserstein(self, texp):
         gen = quadratic_generator(100.0)

@@ -5,9 +5,13 @@ import pytest
 
 from bwrobust.bregman import (bw_divergence_quantile,
                               make_piecewise_quadratic_generator,
-                              pointwise_divergence, quadratic_generator)
+                              make_xlogx_generator, pointwise_divergence,
+                              quadratic_generator)
+from bwrobust.distributions import make_tabulated
 from bwrobust.errors import DomainError
-from bwrobust.var_bounds import (best_case_var, compute_var_bounds,
+from bwrobust.numerics import adaptive_quad
+from bwrobust.var_bounds import (_budget_points, best_case_var,
+                                 compute_var_bounds, full_upper_budget,
                                  tail_budget, witness_best,
                                  witness_near_worst, worst_case_var)
 
@@ -40,6 +44,60 @@ class TestTailBudget:
             tail_budget(unit_quad, uniform01, 0.5, 0.7, "lower")
         with pytest.raises(DomainError):
             tail_budget(unit_quad, uniform01, 0.5, 0.7, "sideways")
+
+
+def quadpack_budget(gen, f0, level, lo, hi):
+    """Oracle: the flattening integrand and breakpoints of the panel budgets,
+    handed to QUADPACK."""
+    return adaptive_quad(
+        lambda t: pointwise_divergence(gen, level, f0.quantile(t)),
+        lo, hi, points=_budget_points(gen, f0, lo, hi), tol=1e-12)
+
+
+def exponential_tabulated(rng, support_max=100.0):
+    """Exponential-shaped tabulated CDF with one atom in the body."""
+    probs = np.array([0.1, 0.25, 0.4, 0.55, 0.7, 0.8, 0.88, 0.93, 0.96,
+                      0.98, 0.99, 0.995, 0.998, 0.9995])
+    xs = -rng.uniform(0.7, 1.4) * np.log1p(-probs)
+    w = rng.uniform(0.02, 0.08)
+    i_atom = int(rng.integers(1, 5))
+    knots = [(0.0, 0.0)]
+    for i, (x, p) in enumerate(zip(xs, probs)):
+        if i == i_atom:
+            knots.append((x, (1.0 - w) * p))
+        knots.append((x, (1.0 - w) * p + w * (i >= i_atom)))
+    knots.append((support_max, 1.0))
+    return make_tabulated(knots)
+
+
+class TestPanelBudgets:
+    """The Gauss-panel tail budgets against the QUADPACK oracle."""
+
+    def test_seeded_budgets_match_quadpack(self, texp):
+        rng = np.random.default_rng(2027)
+        n_atoms = 0
+        for i in range(6):
+            f0 = texp if i % 2 == 0 else exponential_tabulated(rng)
+            n_atoms += len(f0.atoms())
+            for alpha in (0.9, 0.95, 0.99):
+                q = float(f0.quantile(alpha))
+                for gen in (quadratic_generator(100.0),
+                            make_xlogx_generator(1.0, 100.0),
+                            make_piecewise_quadratic_generator(
+                                q, float(rng.uniform(0.5, 8.0)), 100.0)):
+                    up = float(f0.quantile(rng.uniform(alpha, 1.0 - 1e-4)))
+                    down = q * rng.uniform(0.0, 1.0)
+                    assert tail_budget(gen, f0, alpha, up, "upper") == \
+                        pytest.approx(quadpack_budget(
+                            gen, f0, up, alpha, float(f0.cdf(up))), abs=1e-10)
+                    assert tail_budget(gen, f0, alpha, down, "lower") == \
+                        pytest.approx(quadpack_budget(
+                            gen, f0, down, float(f0.cdf(down)), alpha),
+                            abs=1e-10)
+                    assert full_upper_budget(gen, f0, alpha) == \
+                        pytest.approx(quadpack_budget(
+                            gen, f0, 100.0, alpha, 1.0), abs=1e-10)
+        assert n_atoms == 3
 
 
 class TestVarBounds:
@@ -136,6 +194,35 @@ class TestVarBounds:
                 best_lo = min(best_lo, d)
         vl = best_case_var(unit_quad, uniform01, alpha, eps)
         assert abs(vl - best_lo) <= 2.0 / n + 1e-3
+
+
+class TestAuditFeasibility:
+    """The benchmark audit's checks of the VaR bounds and witnesses, with no
+    slack on the ball: each witness lies inside it, ``v_upper`` is the first
+    level whose budget reaches epsilon and ``v_lower`` is within budget."""
+
+    def test_seeded_witness_draws(self, texp, xlogx100):
+        rng = np.random.default_rng(4099)
+        m = texp.support_max
+        for i in range(16):
+            alpha = (0.95, 0.9)[i % 2]
+            q = float(texp.quantile(alpha))
+            gen = xlogx100 if i % 4 == 3 else \
+                make_piecewise_quadratic_generator(q, 4.0 ** rng.random(), m)
+            eps = float(np.exp(np.log(0.1) + rng.random() * np.log(8.0)))
+            vu = worst_case_var(gen, texp, alpha, eps)
+            vl = best_case_var(gen, texp, alpha, eps)
+            assert vu < m
+            assert tail_budget(gen, texp, alpha, vu, "upper") >= eps
+            assert tail_budget(gen, texp, alpha, vu - 1e-8 * max(1.0, m),
+                               "upper") < eps
+            assert tail_budget(gen, texp, alpha, vl, "lower") <= eps
+            near = witness_near_worst(gen, texp, alpha, eps, 1e-3)
+            best = witness_best(gen, texp, alpha, eps)
+            assert near.quantile(alpha) >= vu - 1e-3
+            assert best.quantile(alpha) == vl
+            assert bw_divergence_quantile(gen, near, texp) <= eps
+            assert bw_divergence_quantile(gen, best, texp) <= eps
 
 
 class TestWitnesses:
