@@ -75,21 +75,15 @@ def thresholds(insurer_dist, theta, kappa):
     return d1, min(d2, insurer_dist.support_max)
 
 
-def _case_id(d1, d2, vl, vu):
-    for pred, case_id in _CASES:
-        if pred(d1, d2, vl, vu):
-            return case_id
-    return "no_insurance"
-
-
 def maxmin_objective(contract, scenario, v_upper, v_lower):
-    """kappa-blend of extremal retained losses plus the premium."""
+    """kappa-blend of extremal retained losses plus the premium, returned as
+    ``(objective, premium)``."""
     premium = expected_value_premium(contract, scenario.insurer_survival,
                                      scenario.theta)
     kappa = scenario.kappa
     return (kappa * (v_upper - contract(v_upper))
             + (1.0 - kappa) * (v_lower - contract(v_lower))
-            + premium)
+            + premium), premium
 
 
 def net_price_regions(insurer_dist, theta, kappa, v_lower, v_upper):
@@ -128,11 +122,8 @@ def solve_maxmin(scenario, *, eta_on_ties=1.0):
     regions = net_price_regions(sq, scenario.theta, scenario.kappa, vl, vu)
     contract = indemnity_from_sign_regions(
         regions, scenario.support_max, eta=eta_on_ties).simplified()
-
-    premium = expected_value_premium(contract, sq, scenario.theta)
-    objective = (scenario.kappa * (vu - contract(vu))
-                 + (1.0 - scenario.kappa) * (vl - contract(vl))
-                 + premium)
+    objective, premium = maxmin_objective(contract, scenario, vu, vl)
     return MaxminSolution(indemnity=contract, d1=d1, d2=d2, v_upper=vu,
                           v_lower=vl, premium=premium, objective=objective,
-                          case_id=_case_id(d1, d2, vl, vu))
+                          case_id=next((case for pred, case in _CASES
+                                        if pred(d1, d2, vl, vu)), "no_insurance"))

@@ -147,9 +147,10 @@ def parse_generator(spec, domain_max, q_alpha=None):
     raise ValidationError(f"unknown generator {name!r}")
 
 
-def validate_generator(gen, n_grid=512, rel_tol=1e-6):
+def validate_generator(gen):
     """Spot-check convexity and derivative consistency on a grid."""
-    xs = np.linspace(0.0, gen.domain_max, n_grid)
+    rel_tol = 1e-6
+    xs = np.linspace(0.0, gen.domain_max, 512)
     if np.any(gen.d2phi(xs) <= 0.0):
         raise ValidationError(f"generator {gen.name!r} is not strictly convex")
     if not np.all(np.isfinite(gen.dphi(xs))):

@@ -23,11 +23,12 @@ from . import alpha_maxmin, guaranteed_var
 from .bregman import parse_generator, validate_generator
 from .distortions import parse_distortion, validate_distortion
 from .distributions import load_tabulated, make_tabulated, make_truncated_exponential
-from .errors import BwRobustError, NumericsError, ValidationError
+from .errors import BwRobustError, DomainError, NumericsError, ValidationError
 from .scenario import MarketScenario
 
 _MODELS = ("alpha_maxmin", "guaranteed_var")
 _SWEEPABLE = ("alpha", "theta", "kappa", "epsilon", "A", "generator.k")
+_CURVE_SAMPLES = 2000  # rows of each curve CSV
 
 
 @dataclass
@@ -46,14 +47,6 @@ class ScenarioConfig:
     sweep: list = field(default_factory=list)
     numerics: dict = field(default_factory=dict)
     output: dict = field(default_factory=dict)
-
-    @property
-    def grid(self):
-        return int(self.numerics.get("grid", 10_000))
-
-    @property
-    def curve_samples(self):
-        return int(self.numerics.get("curve_samples", 2000))
 
 
 def validate_config(raw):
@@ -194,25 +187,63 @@ def build_scenario(config, overrides=None, base_dir=None):
         insurer = benchmark
     else:
         insurer = _build_distribution(config.insurer_survival, base_dir)
+    return MarketScenario(
+        theta=theta, alpha=alpha, epsilon=epsilon, benchmark=benchmark,
+        insurer_survival=insurer,
+        generator=_build_generator(config.generator, ov, benchmark, alpha),
+        distortion=_build_distortion(config, alpha),
+        kappa=float(kappa) if kappa is not None else 1.0,
+        acceptable_var=float(a_level) if a_level is not None else None)
 
-    gen_spec = config.generator
+
+def _build_generator(gen_spec, ov, benchmark, alpha):
     if "generator.k" in ov:
         gen_spec = _override_generator_k(gen_spec, float(ov["generator.k"]))
+    if benchmark is None:  # nothing to resolve against: check the spec alone
+        return parse_generator(gen_spec, np.inf, q_alpha=1.0)
     q_alpha = float(benchmark.quantile(alpha))
     gen = parse_generator(gen_spec, benchmark.support_max, q_alpha=q_alpha)
     validate_generator(gen)
+    return gen
 
-    distortion = None
-    if config.model == "guaranteed_var" or config.distortion:
-        distortion = parse_distortion(config.distortion or "tvar",
-                                      default_alpha=alpha)
-        validate_distortion(distortion)
 
-    return MarketScenario(
-        theta=theta, alpha=alpha, epsilon=epsilon, benchmark=benchmark,
-        insurer_survival=insurer, generator=gen, distortion=distortion,
-        kappa=float(kappa) if kappa is not None else 1.0,
-        acceptable_var=float(a_level) if a_level is not None else None)
+def _build_distortion(config, alpha):
+    if config.model != "guaranteed_var" and not config.distortion:
+        return None
+    distortion = parse_distortion(config.distortion or "tvar",
+                                  default_alpha=alpha)
+    validate_distortion(distortion)
+    return distortion
+
+
+def check_inputs(config, base_dir=None):
+    """Build each sweep point's inputs one by one, so that one broken input
+    does not hide another, and raise every problem in one report."""
+    problems = []
+
+    def attempt(what, build):
+        try:
+            return build()
+        except (ValidationError, DomainError, OSError) as exc:
+            items = exc.items if isinstance(exc, ValidationError) else [str(exc)]
+            problems.extend(f"{what}: {item}" for item in items)
+
+    for _, ov in _sweep_points(config):
+        alpha = float(ov.get("alpha", config.alpha))
+        benchmark = attempt("benchmark", lambda: _build_distribution(
+            config.benchmark, base_dir))
+        if config.insurer_survival != "same_as_benchmark":
+            attempt("insurer_survival", lambda: _build_distribution(
+                config.insurer_survival, base_dir))
+        attempt("generator", lambda: _build_generator(
+            config.generator, ov, benchmark, alpha))
+        attempt("distortion", lambda: _build_distortion(config, alpha))
+        if not problems:
+            attempt("scenario", lambda: build_scenario(config, ov, base_dir))
+    if problems:
+        problems = list(dict.fromkeys(problems))  # once, not once per point
+        raise ValidationError(f"invalid inputs ({len(problems)} problems)",
+                              problems)
 
 
 def _override_generator_k(gen_spec, k):
@@ -255,12 +286,12 @@ def _solve_point(config, label, overrides, base_dir):
             b_star=None, slack=None, kkt_residual=None, eta_tilde=None,
             premium=sol.premium, objective=sol.objective)
         contract = sol.indemnity
-        xs = np.linspace(0.0, min(m, 4.0 * sol.v_upper), config.curve_samples)
+        xs = np.linspace(0.0, min(m, 4.0 * sol.v_upper), _CURVE_SAMPLES)
         curves["net_price"] = (xs, alpha_maxmin.net_price_H(
             xs, scenario.theta, scenario.kappa, scenario.insurer_survival,
             sol.v_upper, sol.v_lower))
     else:
-        sol = guaranteed_var.solve_problem2(scenario, grid=config.grid)
+        sol = guaranteed_var.solve_problem2(scenario)
         record.update(
             v_upper=sol.v_upper, v_lower=None, d1=None, d2=None, case_id=None,
             lambda_star=sol.lambda_star, beta_star=sol.beta_star,
@@ -268,7 +299,7 @@ def _solve_point(config, label, overrides, base_dir):
             kkt_residual=sol.kkt_residual, eta_tilde=sol.eta_tilde,
             premium=sol.premium, objective=sol.objective)
         contract = sol.indemnity
-        xs = np.linspace(0.0, min(m, 4.0 * sol.v_upper), config.curve_samples)
+        xs = np.linspace(0.0, min(m, 4.0 * sol.v_upper), _CURVE_SAMPLES)
         curves["worst_survival"] = (xs, sol.worst_survival(xs))
         curves["net_price"] = (xs, guaranteed_var.net_price(
             xs, sol.worst_survival, sol.lambda_star, scenario, sol.v_upper))
@@ -353,6 +384,7 @@ def main(argv=None):
 
     try:
         config = load_config(args.config)
+        check_inputs(config, args.config.parent)
     except ValidationError as exc:
         print("configuration invalid:", file=sys.stderr)
         for item in exc.items:

@@ -140,9 +140,10 @@ def parse_distortion(spec, default_alpha=None):
     raise ValidationError(f"unknown distortion {name!r}")
 
 
-def validate_distortion(dist, n_grid=512, tol=1e-9):
+def validate_distortion(dist):
     """Check boundary values, monotonicity, midpoint concavity, inverse."""
-    ts = np.linspace(0.0, 1.0, n_grid)
+    tol = 1e-9
+    ts = np.linspace(0.0, 1.0, 512)
     gs = np.asarray(dist.g(ts))
     problems = []
     if abs(gs[0]) > tol or abs(gs[-1] - 1.0) > tol:

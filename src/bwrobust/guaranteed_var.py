@@ -31,6 +31,8 @@ from .var_bounds import worst_case_var
 logger = logging.getLogger(__name__)
 
 _TINY = 1e-300
+_GRID = 10_000  # sign-scan samples over [0, M]; also sets the node density
+_LAM_DOUBLINGS = 20  # the cap multiplier's bracket search stops at 2^20
 
 
 # ---------------------------------------------------------------------------
@@ -111,38 +113,33 @@ class RobustSolution:
 # pointwise building blocks
 # ---------------------------------------------------------------------------
 
-def net_price(x, survival, lam, scenario, v_upper):
+def net_price(x, survival, lam, scenario, v_upper, closed_at_vu=True):
     """Net price of marginal coverage at ``x`` against an adversary curve.
 
-    ``(1+lam)(1+theta) S_Q(x) - g(S(x)) - lam 1[x <= v_upper]``.
+    ``(1+lam)(1+theta) S_Q(x) - g(S(x)) - lam 1[x <= v_upper]``; the
+    indicator is ``1[x < v_upper]`` when ``closed_at_vu`` is false.
     """
     x = np.asarray(x, dtype=float)
     sq = scenario.insurer_survival.survival(np.clip(x, 0.0, scenario.support_max))
     svals = np.clip(np.asarray(survival(x), dtype=float), 0.0, 1.0)
+    ind = (x <= v_upper) if closed_at_vu else (x < v_upper)
     out = ((1.0 + lam) * (1.0 + scenario.theta) * sq
            - np.asarray(scenario.distortion.g(svals), dtype=float)
-           - lam * (x <= v_upper))
+           - lam * ind)
     return float(out) if out.ndim == 0 else out
 
 
-def _benchmark_net_price(x, lam, scenario, v_upper, closed_at_vu=True):
-    s0 = scenario.benchmark
-    x = np.asarray(x, dtype=float)
-    sq = scenario.insurer_survival.survival(np.clip(x, 0.0, scenario.support_max))
-    g0 = np.asarray(scenario.distortion.g(
-        s0.survival(np.clip(x, 0.0, scenario.support_max))), dtype=float)
-    ind = (x <= v_upper) if closed_at_vu else (x < v_upper)
-    out = (1.0 + lam) * (1.0 + scenario.theta) * sq - g0 - lam * ind
-    return float(out) if out.ndim == 0 else out
+def _benchmark_curve(scenario):
+    m = scenario.support_max
+    return lambda x: scenario.benchmark.survival(np.clip(x, 0.0, m))
 
 
-def region_partition(scenario, lam, v_upper, *, grid=10_000, xtol=None):
+def region_partition(scenario, lam, v_upper):
     """Locate ``x1``, ``x2`` and the sign regions of the benchmark net price."""
     if lam < 0.0:
         raise DomainError(f"lambda must be nonnegative, got {lam}")
     m = scenario.support_max
-    if xtol is None:
-        xtol = 1e-12 * max(1.0, m)
+    s0 = _benchmark_curve(scenario)
     sq = scenario.insurer_survival
     theta = scenario.theta
     c1 = 1.0 / (1.0 + theta)
@@ -158,16 +155,16 @@ def region_partition(scenario, lam, v_upper, *, grid=10_000, xtol=None):
         def scale(x):
             x = np.asarray(x, dtype=float)
             sqv = sq.survival(np.clip(x, 0.0, m))
-            g0 = np.asarray(scenario.distortion.g(
-                scenario.benchmark.survival(np.clip(x, 0.0, m))), dtype=float)
+            g0 = np.asarray(scenario.distortion.g(s0(x)), dtype=float)
             ind = (x <= v_upper) if closed_at_vu else (x < v_upper)
             return np.maximum((1.0 + lam) * (1.0 + theta) * sqv, g0 + lam * ind)
 
         regs = classify_sign_regions(
-            lambda x: _benchmark_net_price(x, lam, scenario, v_upper,
-                                           closed_at_vu=closed_at_vu),
-            lo, hi, n=max(64, int(grid * (hi - lo) / m)), xtol=xtol,
-            zero_tol=1e-11, zero_scale=scale, extra_points=pts)
+            lambda x: net_price(x, s0, lam, scenario, v_upper,
+                                closed_at_vu=closed_at_vu),
+            lo, hi, n=max(64, int(_GRID * (hi - lo) / m)),
+            xtol=1e-12 * max(1.0, m), zero_tol=1e-11, zero_scale=scale,
+            extra_points=pts)
         a = [(lo_, hi_) for lo_, hi_, s in regs if s >= 0]
         b = [(lo_, hi_) for lo_, hi_, s in regs if s < 0]
         return a, b
@@ -291,32 +288,16 @@ def modified_survival(gstar_curve, b, v_upper):
     new_vals = np.where(left, np.maximum(vals, b), np.minimum(vals, b))
     # v_upper may appear twice (jump); both copies flatten to b
     new_vals = np.where(grid == v_upper, b, new_vals)
-    # insert exact crossing points so the flat segment starts and ends on grid
-    inserts = []
-    for seg in _crossing_points(grid, vals, b, v_upper):
-        inserts.append(seg)
-    if inserts:
-        xs = np.array(sorted(inserts))
-        grid = np.concatenate([grid, xs])
-        order = np.argsort(grid, kind="stable")
-        merged = np.concatenate([new_vals, np.full(len(xs), b)])[order]
-        grid = grid[order]
-        new_vals = merged
-    return SurvivalCurve(grid, new_vals)
-
-
-def _crossing_points(grid, vals, b, v_upper):
-    """x-locations where the piecewise-linear curve crosses level ``b``."""
-    out = []
-    for i in range(len(grid) - 1):
-        x0, x1 = grid[i], grid[i + 1]
-        if x1 <= x0:
-            continue
-        v0, v1 = vals[i], vals[i + 1]
-        if (v0 - b) * (v1 - b) < 0.0:
-            t = (b - v0) / (v1 - v0)
-            out.append(float(x0 + t * (x1 - x0)))
-    return out
+    # insert the points where the linear segments cross b, so the flat
+    # segment starts and ends on the grid
+    x0, x1, v0, v1 = grid[:-1], grid[1:], vals[:-1], vals[1:]
+    cross = (x1 > x0) & ((v0 - b) * (v1 - b) < 0.0)
+    x0, x1, v0, v1 = x0[cross], x1[cross], v0[cross], v1[cross]
+    xs = x0 + (b - v0) / (v1 - v0) * (x1 - x0)
+    grid = np.concatenate([grid, xs])
+    order = np.argsort(grid, kind="stable")
+    new_vals = np.concatenate([new_vals, np.full(xs.size, b)])[order]
+    return SurvivalCurve(grid[order], new_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +346,16 @@ class _ScenarioCache:
 class _InnerProblem:
     """Fixed (scenario, lambda): adversary curve search over (beta, b)."""
 
-    def __init__(self, cache, lam, *, grid=10_000):
+    def __init__(self, cache, lam):
         self.cache = cache
         self.sc = cache.scenario
         self.lam = float(lam)
         self.vu = cache.v_upper
         m = self.sc.support_max
         self.m = m
-        self.partition = region_partition(self.sc, lam, self.vu, grid=grid)
-        edges = self._build_edges(grid)
-        self.edges = edges
-        self.nodes, self.weights = gauss_nodes_weights(edges)
+        self.partition = region_partition(self.sc, lam, self.vu)
+        self.edges = self._build_edges()
+        self.nodes, self.weights = gauss_nodes_weights(self.edges)
         self.left = self.nodes < self.vu
         self.s0 = self.sc.benchmark.survival(np.clip(self.nodes, 0.0, m))
         self.sq = self.sc.insurer_survival.survival(np.clip(self.nodes, 0.0, m))
@@ -387,7 +367,7 @@ class _InnerProblem:
                                dtype=float) - cache.dphi0
         self._beta_cache = {}
 
-    def _build_edges(self, grid):
+    def _build_edges(self):
         m, vu = self.m, self.vu
         knots = {0.0, m, vu, self.partition.x1, self.partition.x2}
         for iv in (self.partition.a1, self.partition.b1,
@@ -398,11 +378,11 @@ class _InnerProblem:
         knots.update(self.sc.insurer_survival.x_breakpoints())
         knots.update(k for k in self.sc.generator.kinks if k < m)
         # dense near the action, quantile-graded in the tail
-        n_dense = max(256, grid // 16)
+        n_dense = max(256, _GRID // 16)
         dense_hi = min(m, vu + 0.25 * (m - vu))
         base = np.unique(np.concatenate([
             np.linspace(0.0, dense_hi, n_dense),
-            self.sc.benchmark.quantile(np.linspace(1e-9, 1.0 - 1e-12, max(128, grid // 48))),
+            self.sc.benchmark.quantile(np.linspace(1e-9, 1.0 - 1e-12, max(128, _GRID // 48))),
             np.linspace(dense_hi, m, 64),
         ]))
         pts = np.unique(np.concatenate([base, np.array(sorted(knots))]))
@@ -445,7 +425,6 @@ class _InnerProblem:
     def _left_value_at_vu(self, beta):
         """Left limit of the relaxed adversary curve at v_upper."""
         sc, vu = self.sc, self.vu
-        m = self.m
         s0 = sc.benchmark.survival(vu)
         sq = sc.insurer_survival.survival(vu)
         ghat = float(g_hat(vu, beta, sc))
@@ -454,8 +433,7 @@ class _InnerProblem:
         x1 = self.partition.x1
         if x1 >= vu * (1.0 - 1e-15):
             return ghat
-        hleft = _benchmark_net_price(vu, self.lam, self.sc, vu, closed_at_vu=True)
-        if hleft >= 0.0:
+        if net_price(vu, _benchmark_curve(sc), self.lam, sc, vu) >= 0.0:
             return max(s0, min(ghat, cap))
         return s0
 
@@ -518,15 +496,10 @@ class _InnerProblem:
             # 16 sub-panels per flagged cell, all evaluated in one call
             sub = np.linspace(self.edges[cells], self.edges[cells + 1], 17,
                               axis=-1)
-
-            def budget(nodes):
-                gs = g_star(nodes, beta, self.lam, self.sc, self.vu,
-                            self.partition)
-                sv = np.where(nodes < self.vu, np.maximum(gs, b),
-                              np.minimum(gs, b))
-                return self.cache.phi_budget_values(nodes, sv)
-
-            refined = gauss_sums(budget, sub[:, :-1], sub[:, 1:]).sum(axis=1)
+            curve = self.exact_curve(beta, b)
+            refined = gauss_sums(
+                lambda x: self.cache.phi_budget_values(x, curve(x)),
+                sub[:, :-1], sub[:, 1:]).sum(axis=1)
             total += float((refined - base_cells[cells]).sum())
         return total
 
@@ -623,12 +596,12 @@ class _InnerProblem:
 
         return f
 
-    def solve(self, *, beta_hint=None, psi_rel_tol=1e-8):
+    def solve(self, *, beta_hint=None):
         """Find beta with an exhausted budget (or 0 when slack) and its b."""
         zeta = self.cache.zeta
         scale = max(1.0, abs(zeta))
         psi0, b0 = self.psi(0.0)
-        if psi0 <= zeta + psi_rel_tol * scale:
+        if psi0 <= zeta + 1e-8 * scale:
             return 0.0, b0
 
         def f(be):
@@ -670,23 +643,7 @@ class _InnerProblem:
 # public solver surface
 # ---------------------------------------------------------------------------
 
-def solve_inner(lam, scenario, *, v_upper=None, grid=10_000, _cache=None,
-                beta_hint=None):
-    """Worst-case survival curve for a fixed VaR-cap multiplier.
-
-    Returns ``(curve, beta_star, b_star)``: the budget multiplier is zero
-    when the unpenalized maximizer already fits in the ball, otherwise it is
-    the root of the budget residual.
-    """
-    cache = _cache if _cache is not None else _ScenarioCache(scenario, v_upper)
-    ip = _InnerProblem(cache, lam, grid=grid)
-    beta_star, b_star = ip.solve(beta_hint=beta_hint)
-    curve = ip.materialize(beta_star, b_star)
-    return curve, beta_star, b_star
-
-
-def _net_price_regions(survival, lam, scenario, v_upper, *, grid=10_000,
-                       zero_rel_tol=1e-9):
+def _net_price_regions(survival, lam, scenario, v_upper):
     """Sign regions of the net price against an adversary curve."""
     m = scenario.support_max
     theta = scenario.theta
@@ -715,25 +672,12 @@ def _net_price_regions(survival, lam, scenario, v_upper, *, grid=10_000,
         if hi - lo <= 1e-15 * max(1.0, m):
             continue
         regions.extend(classify_sign_regions(
-            h, lo, hi, n=max(64, int(grid * (hi - lo) / m)),
-            xtol=1e-12 * max(1.0, m), zero_tol=zero_rel_tol,
+            h, lo, hi, n=max(64, int(_GRID * (hi - lo) / m)),
+            xtol=1e-12 * max(1.0, m), zero_tol=1e-9,
             zero_scale=scale,
             extra_points=[p for p in scenario.insurer_survival.x_breakpoints()
                           if lo < p < hi]))
     return regions
-
-
-def indemnity_from_survival(survival, lam, scenario, v_upper, eta_tilde=1.0,
-                            *, grid=10_000, zero_rel_tol=1e-9):
-    """Contract integrating the marginal rule against an adversary curve.
-
-    Slope 1 where the net price is negative, ``eta_tilde`` where it vanishes
-    (relative to the local cancellation scale), 0 where positive.
-    """
-    regions = _net_price_regions(survival, lam, scenario, v_upper, grid=grid,
-                                 zero_rel_tol=zero_rel_tol)
-    return indemnity_from_sign_regions(
-        regions, scenario.support_max, eta=eta_tilde).simplified()
 
 
 def _residual_pair(lam, curve_fn, scenario, v_upper):
@@ -751,7 +695,7 @@ def _residual_pair(lam, curve_fn, scenario, v_upper):
     return out
 
 
-def solve_problem2(scenario, *, grid=10_000, lam_max_doublings=20):
+def solve_problem2(scenario):
     """Full guaranteed-VaR solve: multipliers, contract, worst-case curve.
 
     The cap multiplier is zero when the unconstrained contract already meets
@@ -784,7 +728,7 @@ def solve_problem2(scenario, *, grid=10_000, lam_max_doublings=20):
             f"requested {a_level:.6g}", bound=v_upper + mstar)
 
     def inner(lam, beta_hint=None):
-        ip = _InnerProblem(cache, lam, grid=grid)
+        ip = _InnerProblem(cache, lam)
         beta_star, b_star = ip.solve(beta_hint=beta_hint)
         curve_fn = ip.exact_curve(beta_star, b_star)
         pair = _residual_pair(lam, curve_fn, scenario, v_upper)
@@ -803,7 +747,7 @@ def solve_problem2(scenario, *, grid=10_000, lam_max_doublings=20):
         lam_hi = 1.0
         hint = beta0
         state_hi = None
-        for _ in range(lam_max_doublings + 1):
+        for _ in range(_LAM_DOUBLINGS + 1):
             state_hi = inner(lam_hi, beta_hint=hint)
             hint = state_hi[1]
             if state_hi[3][1.0][0] <= 0.0:
@@ -812,7 +756,7 @@ def solve_problem2(scenario, *, grid=10_000, lam_max_doublings=20):
             lam_hi *= 2.0
         else:
             raise InfeasibleError(
-                f"no multiplier up to 2^{lam_max_doublings} closes the "
+                f"no multiplier up to 2^{_LAM_DOUBLINGS} closes the "
                 "guarantee", bound=None)
         ftol = 1e-9 * max(1.0, abs(a_level))
         # keep the smallest evaluated multiplier that closes the constraint;
@@ -877,8 +821,7 @@ def _calibrate_eta(pair, ftol):
 # discrete saddle-point check
 # ---------------------------------------------------------------------------
 
-def alternating_best_response(scenario, lam, beta, *, v_upper=None,
-                              n_cells=60):
+def alternating_best_response(scenario, lam, beta):
     """Coarse-grid best-response check of the closed-form pipeline.
 
     The curve step brute-forces the discretized dual objective cell by cell
@@ -891,12 +834,13 @@ def alternating_best_response(scenario, lam, beta, *, v_upper=None,
     point.  The resulting objective must match the analytic solution
     evaluated on the same grid.
     """
-    cache = _ScenarioCache(scenario, v_upper)
+    cache = _ScenarioCache(scenario)
     vu = cache.v_upper
     m = scenario.support_max
-    # grid concentrated where the curves move, with v_upper as a cell edge
-    lo_part = np.linspace(0.0, min(vu * 2.5, m), int(n_cells * 0.8) + 1)
-    hi_part = np.linspace(min(vu * 2.5, m), m, n_cells - int(n_cells * 0.8) + 1)
+    # 60 cells, 48 of them below 2.5 v_upper where the curves move, with
+    # v_upper as a cell edge
+    lo_part = np.linspace(0.0, min(vu * 2.5, m), 49)
+    hi_part = np.linspace(min(vu * 2.5, m), m, 13)
     edges = np.unique(np.concatenate([lo_part, hi_part, [vu]]))
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
@@ -915,27 +859,23 @@ def alternating_best_response(scenario, lam, beta, *, v_upper=None,
         budget = phip * s_vals - cache.w_of_s(s_vals)
         return float(np.dot(widths, gain - beta * budget))
 
-    def reduced_value(s_vals):
+    def reduced(s_vals):
+        # per cell: min(g(s), cap) - beta * budget(s)
         g = np.asarray(dist.g(s_vals), dtype=float)
-        budget = phip * s_vals - cache.w_of_s(s_vals)
-        return float(np.dot(widths, np.minimum(g, cap) - beta * budget))
+        return np.minimum(g, cap) - beta * (phip * s_vals - cache.w_of_s(s_vals))
 
     def contract_response(s_vals):
         g = np.asarray(dist.g(s_vals), dtype=float)
         return np.where(cap - g < 0.0, 1.0, 0.0)
 
     def curve_response():
-        # per-cell concave maximization of min(g(s), cap) - beta * budget(s)
+        # per-cell concave maximization of the reduced integrand
         lo = s0.copy()
         hi = np.ones_like(s0)
         for _ in range(90):
             m1 = lo + (hi - lo) / 3.0
             m2 = hi - (hi - lo) / 3.0
-            f1 = np.minimum(np.asarray(dist.g(m1), dtype=float), cap) - beta * (
-                phip * m1 - cache.w_of_s(m1))
-            f2 = np.minimum(np.asarray(dist.g(m2), dtype=float), cap) - beta * (
-                phip * m2 - cache.w_of_s(m2))
-            take_lo = f1 < f2
+            take_lo = reduced(m1) < reduced(m2)
             lo = np.where(take_lo, m1, lo)
             hi = np.where(take_lo, hi, m2)
         s = 0.5 * (lo + hi)
@@ -947,7 +887,7 @@ def alternating_best_response(scenario, lam, beta, *, v_upper=None,
             best_b, best_v = b_lo, -np.inf
             for b in np.linspace(b_lo, b_hi, 129):
                 cand = np.where(left, np.maximum(s, b), np.minimum(s, b))
-                v = reduced_value(cand)
+                v = float(np.dot(widths, reduced(cand)))
                 if v > best_v:
                     best_v, best_b = v, b
             s = np.where(left, np.maximum(s, best_b), np.minimum(s, best_b))
@@ -956,7 +896,7 @@ def alternating_best_response(scenario, lam, beta, *, v_upper=None,
     s = curve_response()
     final = value(contract_response(s), s)
 
-    ip = _InnerProblem(cache, lam, grid=4000)
+    ip = _InnerProblem(cache, lam)
     b_star, _ = ip.best_b(beta)
     curve_fn = ip.exact_curve(beta, b_star)
     s_exact = np.clip(np.asarray(curve_fn(mids)), 0.0, 1.0)

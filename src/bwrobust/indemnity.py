@@ -41,22 +41,6 @@ class Indemnity:
     def zero(cls, support_max):
         return cls([0.0, float(support_max)], [0.0])
 
-    @classmethod
-    def from_layers(cls, layers, support_max):
-        """Union of unit-slope layers ``(attach, detach)``; layers may touch
-        but must not overlap."""
-        pts = {0.0, float(support_max)}
-        for a, b in layers:
-            pts.update((float(a), float(b)))
-        xs = np.array(sorted(pts))
-        slopes = np.zeros(len(xs) - 1)
-        for a, b in layers:
-            inside = (xs[:-1] >= a - 1e-15) & (xs[1:] <= b + 1e-15)
-            if np.any(slopes[inside] > 0):
-                raise ValidationError("overlapping layers")
-            slopes[inside] = 1.0
-        return cls(xs, slopes)
-
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.interp(x, self.breakpoints, self._values)
@@ -75,8 +59,9 @@ class Indemnity:
         """Payout at the top of the support."""
         return float(self._values[-1])
 
-    def simplified(self, tol=1e-12):
+    def simplified(self):
         """Merge equal-slope and zero-width segments for stable reporting."""
+        tol = 1e-12
         width_tol = tol * max(1.0, float(self.breakpoints[-1]))
         segs = []  # (start, end, slope)
         for a, b, sl in zip(self.breakpoints[:-1], self.breakpoints[1:],

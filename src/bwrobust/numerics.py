@@ -21,7 +21,7 @@ _PANEL_BATCH = 512  # panels per integrand call: memory does not grow with panel
 _PANEL_LIMIT = 1 << 17  # open panels; an integrand noisy beyond tol doubles them
 
 
-def adaptive_quad(f, a, b, *, points=(), tol=1e-10, limit=500):
+def adaptive_quad(f, a, b, *, points=(), tol=1e-10):
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
     ``points`` lists known interior breakpoints (kinks, jumps); values outside
@@ -31,10 +31,8 @@ def adaptive_quad(f, a, b, *, points=(), tol=1e-10, limit=500):
     if b <= a:
         return 0.0
     pts = sorted({float(p) for p in points if a < p < b})
-    if pts:
-        limit = max(limit, 2 * len(pts) + 50)
     value, err = quad(f, a, b, points=pts or None, epsabs=tol, epsrel=1e-12,
-                      limit=limit, full_output=False)
+                      limit=max(500, 2 * len(pts) + 50), full_output=False)
     if not np.isfinite(value):
         raise NumericsError("quadrature produced a non-finite value", partial=value)
     if err > 50.0 * max(tol, 1e-14 * abs(value)):
@@ -106,7 +104,7 @@ def panel_quad(f, a, b, *, points=(), tol=1e-10):
         partial=total + float(val[~ok].sum()))
 
 
-def bisect_predicate(pred, lo, hi, *, xtol, max_iter=200):
+def bisect_predicate(pred, lo, hi, *, xtol):
     """Leftmost point of ``[lo, hi]`` where a monotone predicate turns true.
 
     ``pred`` must be false-then-true as its argument increases, with
@@ -117,7 +115,7 @@ def bisect_predicate(pred, lo, hi, *, xtol, max_iter=200):
         return lo
     if not pred(hi):
         raise NumericsError(f"predicate is false on the whole bracket [{lo}, {hi}]")
-    for _ in range(max_iter):
+    for _ in range(200):
         if hi - lo <= xtol:
             break
         mid = 0.5 * (lo + hi)
@@ -166,7 +164,7 @@ def illinois_root(f, lo, hi, *, flo=None, fhi=None, ftol, xtol, max_iter=100):
     return x, fx
 
 
-def golden_max(f, a, b, *, xtol, max_iter=200):
+def golden_max(f, a, b, *, xtol):
     """Golden-section maximizer of a scalar function on ``[a, b]``.
 
     Assumes unimodality; callers that cannot guarantee it should pre-scan on
@@ -176,7 +174,7 @@ def golden_max(f, a, b, *, xtol, max_iter=200):
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a <= xtol:
             break
         if f1 < f2:
@@ -207,14 +205,14 @@ def gauss_nodes_weights(edges):
     return nodes, weights
 
 
-def refine_edges(knots, lo, hi, *, max_cell, extra=()):
+def refine_edges(knots, lo, hi, *, max_cell):
     """Sorted panel edges covering ``[lo, hi]``: knots plus uniform fill.
 
     Every interval between consecutive knots is subdivided so no cell is
     wider than ``max_cell``.
     """
     pts = {float(lo), float(hi)}
-    for p in list(knots) + list(extra):
+    for p in knots:
         p = float(p)
         if lo < p < hi:
             pts.add(p)
@@ -234,7 +232,7 @@ class TailIntegral:
     query landing on the grid.
     """
 
-    def __init__(self, f, knots, lo, hi, *, max_cell=0.05):
+    def __init__(self, f, knots, lo, hi, *, max_cell):
         self.f = f
         self.lo = float(lo)
         self.hi = float(hi)

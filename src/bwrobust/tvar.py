@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .guaranteed_var import SurvivalCurve
-from .numerics import refine_edges
 
 logger = logging.getLogger(__name__)
 
@@ -38,16 +36,6 @@ class TvarCaseReport:
     x_tilde: float
     x_hat: float | None
     sub_case: str | None
-
-
-def _require_tvar_setup(scenario):
-    if scenario.distortion is None or not scenario.distortion.name.startswith("tvar"):
-        raise DomainError("closed forms require the TVaR distortion")
-    xs = np.linspace(0.0, scenario.support_max, 257)
-    if not np.allclose(scenario.benchmark.survival(xs),
-                       scenario.insurer_survival.survival(xs), atol=1e-12):
-        raise DomainError("closed forms require the benchmark to equal the "
-                          "insurer's distribution")
 
 
 def classify_case(lam, theta, alpha, insurer_dist, v_upper, *, gen=None,
@@ -121,7 +109,13 @@ def tvar_g_hat(x, beta, alpha, insurer_dist, gen):
 
 def tvar_g_star_value(x, beta, lam, scenario, v_upper):
     """Pointwise closed-form adversary curve for the TVaR distortion."""
-    _require_tvar_setup(scenario)
+    if scenario.distortion is None or not scenario.distortion.name.startswith("tvar"):
+        raise DomainError("closed forms require the TVaR distortion")
+    xs = np.linspace(0.0, scenario.support_max, 257)
+    if not np.allclose(scenario.benchmark.survival(xs),
+                       scenario.insurer_survival.survival(xs), atol=1e-12):
+        raise DomainError("closed forms require the benchmark to equal the "
+                          "insurer's distribution")
     theta = scenario.theta
     alpha = scenario.alpha
     load = (1.0 + lam) * (1.0 + theta)
@@ -144,30 +138,3 @@ def tvar_g_star_value(x, beta, lam, scenario, v_upper):
         out = np.where(x_arr < v_upper, sq,
                        np.where(x_arr < x2, ghat, np.maximum(capped, sq)))
     return float(out[0]) if np.asarray(x).ndim == 0 else out
-
-
-def tvar_g_star(beta, lam, scenario, *, v_upper=None, grid=4000):
-    """Closed-form adversary curve materialized on an adaptive grid."""
-    from .var_bounds import worst_case_var
-
-    _require_tvar_setup(scenario)
-    if v_upper is None:
-        v_upper = worst_case_var(scenario.generator, scenario.benchmark,
-                                 scenario.alpha, scenario.epsilon)
-    m = scenario.support_max
-    report = classify_case(lam, scenario.theta, scenario.alpha,
-                           scenario.insurer_survival, v_upper,
-                           gen=scenario.generator, beta=beta)
-    knots = {0.0, m, v_upper, report.x_tilde}
-    if report.x_hat is not None:
-        knots.add(min(report.x_hat, m))
-    load = (1.0 + lam) * (1.0 + scenario.theta)
-    knots.add(float(np.clip(scenario.insurer_survival.survival_inverse_right(
-        1.0 / load), v_upper, m)))
-    edges = refine_edges(sorted(knots), 0.0, m, max_cell=m / grid)
-    vals = np.atleast_1d(tvar_g_star_value(edges, beta, lam, scenario, v_upper))
-    iv = int(np.searchsorted(edges, v_upper))
-    left_val = float(scenario.insurer_survival.survival(v_upper))
-    edges = np.insert(edges, iv, v_upper)
-    vals = np.insert(vals, iv, left_val if report.case_id != "i" else vals[iv])
-    return SurvivalCurve(edges, vals)

@@ -152,7 +152,7 @@ def test_criterion_7_desk_scale_saddle_check(texp, xlogx100):
         cache = _ScenarioCache(sc)
         ip = _InnerProblem(cache, lam)
         beta_star, _ = ip.solve()
-        out = alternating_best_response(sc, lam, beta_star, n_cells=60)
+        out = alternating_best_response(sc, lam, beta_star)
         gap = abs(out["final"] - out["analytic"])
         gaps.append(gap)
         assert gap <= 1e-3, f"case {case}: gap {gap:.2e}"

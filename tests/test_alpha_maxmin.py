@@ -7,7 +7,7 @@ from bwrobust.alpha_maxmin import (maxmin_objective, net_price_H,
                                    net_price_regions, solve_maxmin, thresholds)
 from bwrobust.bregman import make_piecewise_quadratic_generator, quadratic_generator
 from bwrobust.distributions import make_tabulated, make_truncated_exponential
-from bwrobust.indemnity import Indemnity, indemnity_from_sign_regions
+from bwrobust.indemnity import indemnity_from_sign_regions
 from bwrobust.numerics import classify_sign_regions
 from bwrobust.scenario import MarketScenario
 
@@ -241,13 +241,14 @@ class TestOptimality:
     def test_no_random_contract_beats_solver(self, maxmin_solutions, texp):
         sol = maxmin_solutions[2.0]
         sc = layered_scenario(texp, 2.0)
-        best = maxmin_objective(sol.indemnity, sc, sol.v_upper, sol.v_lower)
+        best, _ = maxmin_objective(sol.indemnity, sc, sol.v_upper, sol.v_lower)
         rng = np.random.default_rng(42)
         for _ in range(500):
             pts = np.sort(rng.uniform(0.0, 20.0, size=int(rng.integers(1, 4)) * 2))
             layers = list(zip(pts[::2], pts[1::2]))
-            contract = Indemnity.from_layers(layers, 100.0)
-            value = maxmin_objective(contract, sc, sol.v_upper, sol.v_lower)
+            contract = indemnity_from_sign_regions(
+                [(a, b, -1) for a, b in layers], 100.0)
+            value, _ = maxmin_objective(contract, sc, sol.v_upper, sol.v_lower)
             assert value >= best - 1e-8
 
     def test_emitted_contract_is_admissible(self, maxmin_solutions):

@@ -180,6 +180,36 @@ class TestMainEntry:
         path.write_text(yaml.safe_dump(raw))
         assert main(["solve", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    def test_every_input_problem_is_reported(self, tmp_path, capsys, command):
+        # three broken inputs, none of which validate_config can see
+        raw = dict(GUARANTEED_RAW, generator="foo(1.0)", distortion="tvar(2)",
+                   benchmark={"kind": "tabulated",
+                              "knots": [[0, 0], [1, 0.5], [0.5, 1]]})
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main([command, str(path), "--out", str(tmp_path / "o")]
+                    if command == "solve" else [command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "benchmark: knot losses must be nondecreasing" in err
+        assert "generator: unknown generator 'foo'" in err
+        assert "distortion: alpha must lie in (0, 1), got 2.0" in err
+        # each problem once, though both sweep points have it
+        assert err.count("unknown generator") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_scenario_and_file_problems_are_reported(self, tmp_path, capsys):
+        raw = dict(MAXMIN_RAW, sweep=[], insurer_survival={
+            "kind": "truncated_exponential", "mean": 1.0, "support_max": 50.0})
+        path = tmp_path / "mismatch.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(path)]) == 1
+        assert "supports disagree" in capsys.readouterr().err
+        raw = dict(MAXMIN_RAW, benchmark={"kind": "file", "path": "none.csv"})
+        path.write_text(yaml.safe_dump(raw))
+        assert main(["validate", str(path)]) == 1
+        assert "benchmark:" in capsys.readouterr().err
+
     def test_solve_command_writes_files(self, tmp_path):
         raw = dict(MAXMIN_RAW, sweep=[], output={"directory": "ignored"})
         path = tmp_path / "config.yaml"

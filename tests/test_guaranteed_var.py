@@ -11,12 +11,11 @@ from bwrobust.distributions import make_tabulated
 from bwrobust.errors import DomainError, InfeasibleError
 from bwrobust.guaranteed_var import (SurvivalCurve, _calibrate_eta,
                                      _g_hat_bisect, _InnerProblem,
-                                     _ScenarioCache,
-                                     alternating_best_response,
-                                     g_hat, g_star, indemnity_from_survival,
-                                     modified_survival, net_price,
-                                     region_partition, solve_inner,
+                                     _net_price_regions, _ScenarioCache,
+                                     g_hat, g_star, modified_survival,
+                                     net_price, region_partition,
                                      solve_problem2)
+from bwrobust.indemnity import indemnity_from_sign_regions
 from bwrobust.numerics import adaptive_quad, gauss_nodes_weights
 from bwrobust.scenario import MarketScenario
 from bwrobust.var_bounds import worst_case_var
@@ -238,6 +237,28 @@ class TestModifiedSurvival:
         assert out.is_nonincreasing(tol=1e-12)
         assert out(1.9) == pytest.approx(0.9)
 
+    def test_crossings_match_the_segment_loop(self):
+        # a wiggly curve crossing the level on many segments, with a jump
+        # at v_upper = 4 and zero-width segments at the duplicated knots
+        rng = np.random.default_rng(3)
+        grid = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 300),
+                                       [0.0, 2.5, 2.5, 4.0, 4.0, 10.0]]))
+        vals = rng.uniform(0.0, 1.0, grid.size)
+        at_vu = np.nonzero(grid == 4.0)[0]
+        vals[at_vu] = (0.3, 0.6)
+        b = 0.45
+        # per-segment reference loop, in the array code's operation order
+        crossings = []
+        for i in range(grid.size - 1):
+            x0, x1, v0, v1 = grid[i], grid[i + 1], vals[i], vals[i + 1]
+            if x1 > x0 and (v0 - b) * (v1 - b) < 0.0:
+                crossings.append(x0 + (b - v0) / (v1 - v0) * (x1 - x0))
+        assert len(crossings) > 50
+        out = modified_survival(SurvivalCurve(grid, vals), b, 4.0)
+        assert np.array_equal(
+            out.grid, np.sort(np.concatenate([grid, crossings]), kind="stable"))
+        assert np.all(out(np.array(crossings)) == b)
+
     def test_level_outside_interval_rejected(self):
         curve = self.build_jump_curve()
         with pytest.raises(DomainError):
@@ -301,7 +322,9 @@ class TestPsiAndInner:
         assert val == pytest.approx(oracle, abs=1e-7)
 
     def test_inner_case_i(self, tvar_scenario, texp):
-        curve, beta_star, b_star = solve_inner(0.0, tvar_scenario)
+        ip = _InnerProblem(_ScenarioCache(tvar_scenario), 0.0)
+        beta_star, b_star = ip.solve()
+        curve = ip.materialize(beta_star, b_star)
         assert beta_star == 0.0
         assert np.allclose(curve.values, texp.survival(np.clip(curve.grid, 0, 100)),
                            atol=1e-12)
@@ -345,20 +368,32 @@ class TestPsiAndInner:
         best = ip.lagrangian_nodes(star_vals, beta_star)
         rng = np.random.default_rng(11)
         s0 = ip.s0
-        count = 0
-        while count < 100:
-            # random monotone bump above the benchmark, scaled into the ball
-            centre = rng.uniform(0.5, 8.0)
-            width = rng.uniform(0.2, 3.0)
-            height = rng.uniform(0.0, 0.3)
+
+        def bumped(centre, width, height):
+            # monotone bump above the benchmark
             bump = height * np.exp(-np.maximum(ip.nodes - centre, 0.0) / width)
             cand = np.clip(np.maximum(s0, np.minimum(1.0, s0 + bump)), 0.0, 1.0)
             cand = np.minimum.accumulate(np.maximum(cand, s0))
-            cand = np.maximum(cand, s0)
-            if ip.phi_budget(cand) > cache.zeta:
-                continue  # outside the ball: not a feasible perturbation
-            count += 1
+            return np.maximum(cand, s0)
+
+        for _ in range(100):
+            centre = rng.uniform(0.5, 8.0)
+            width = rng.uniform(0.2, 3.0)
+            height = rng.uniform(0.0, 0.3)
+            cand = bumped(centre, width, height)
+            # halve the bump until the curve lies inside the ball; the
+            # benchmark itself (height 0) always does
+            while ip.phi_budget(cand) > cache.zeta:
+                height *= 0.5
+                cand = bumped(centre, width, height)
             assert ip.lagrangian_nodes(cand, beta_star) <= best + 1e-7
+
+
+def contract_against(survival, lam, sc, v_upper, eta=1.0):
+    """The contract solve_problem2 builds from the net-price sign regions."""
+    regions = _net_price_regions(survival, lam, sc, v_upper)
+    return indemnity_from_sign_regions(regions, sc.support_max,
+                                       eta=eta).simplified()
 
 
 class TestIndemnityFromSurvival:
@@ -367,14 +402,12 @@ class TestIndemnityFromSurvival:
                                     benchmark=texp, insurer_survival=texp,
                                     generator=xlogx100,
                                     distortion=tvar_distortion(0.95))
-        contract = indemnity_from_survival(texp.survival, 0.0, overpriced,
-                                           v_upper)
+        contract = contract_against(texp.survival, 0.0, overpriced, v_upper)
         assert contract.total() == pytest.approx(0.0, abs=1e-12)
 
     def test_classical_stop_loss_at_lambda_zero(self, tvar_scenario, texp,
                                                 v_upper):
-        contract = indemnity_from_survival(texp.survival, 0.0, tvar_scenario,
-                                           v_upper)
+        contract = contract_against(texp.survival, 0.0, tvar_scenario, v_upper)
         xs = np.linspace(0.0, 50.0, 2001)
         expected = np.clip(xs - np.log(1.5), 0.0, None)
         assert np.max(np.abs(contract(xs) - expected)) <= 1e-7
@@ -386,8 +419,8 @@ class TestIndemnityFromSurvival:
         ip = _InnerProblem(cache, lam)
         beta_star, b_star = ip.solve()
         fn = ip.exact_curve(beta_star, b_star)
-        full = indemnity_from_survival(fn, lam, sc, cache.v_upper, eta_tilde=1.0)
-        none = indemnity_from_survival(fn, lam, sc, cache.v_upper, eta_tilde=0.0)
+        full = contract_against(fn, lam, sc, cache.v_upper, eta=1.0)
+        none = contract_against(fn, lam, sc, cache.v_upper, eta=0.0)
         xs = np.linspace(0.0, 100.0, 4001)
         diff = full(xs) - none(xs)
         assert np.max(diff) > 0.1  # the zero set has real length
@@ -497,18 +530,3 @@ class TestSolveProblem2:
             bw = bw_divergence_quantile(xlogx100, tab, texp, tol=1e-9)
             assert bw <= sc.epsilon + 1e-6
 
-
-class TestSaddleCheck:
-    def test_three_regimes(self, texp, xlogx100):
-        alpha = 0.7
-        combos = ((0.1, 0.0, "i"), (0.1, 1.5, "ii"), (0.1, 25.0, "iii"))
-        for eps, lam, _case in combos:
-            sc = MarketScenario(theta=0.5, alpha=alpha, epsilon=eps,
-                                benchmark=texp, insurer_survival=texp,
-                                generator=xlogx100,
-                                distortion=tvar_distortion(alpha))
-            cache = _ScenarioCache(sc)
-            ip = _InnerProblem(cache, lam)
-            beta_star, _ = ip.solve()
-            out = alternating_best_response(sc, lam, beta_star, n_cells=60)
-            assert out["final"] == pytest.approx(out["analytic"], abs=1e-3)

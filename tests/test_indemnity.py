@@ -13,7 +13,7 @@ from bwrobust.indemnity import (Indemnity, expected_value_premium,
 
 class TestIndemnity:
     def test_layers(self):
-        c = Indemnity.from_layers([(1.0, 3.0), (5.0, 6.0)], 10.0)
+        c = indemnity_from_sign_regions([(1.0, 3.0, -1), (5.0, 6.0, -1)], 10.0)
         xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.5, 7.0, 10.0])
         expected = np.array([0.0, 0.0, 1.0, 2.0, 2.0, 2.5, 3.0, 3.0])
         assert np.allclose(c(xs), expected)
@@ -24,8 +24,6 @@ class TestIndemnity:
             Indemnity([0.0, 1.0], [1.5])
         with pytest.raises(ValidationError):
             Indemnity([1.0, 2.0], [0.5])  # must start at 0
-        with pytest.raises(ValidationError):
-            Indemnity.from_layers([(0.0, 2.0), (1.0, 3.0)], 5.0)  # overlap
 
     def test_slope_at(self):
         c = Indemnity([0.0, 1.0, 2.0], [0.0, 1.0])

@@ -6,9 +6,9 @@ import pytest
 from bwrobust.distortions import tvar_distortion
 from bwrobust.errors import DomainError
 from bwrobust.guaranteed_var import g_hat, g_star, region_partition
+from bwrobust.numerics import refine_edges
 from bwrobust.scenario import MarketScenario
-from bwrobust.tvar import (classify_case, tvar_g_hat, tvar_g_star,
-                           tvar_g_star_value)
+from bwrobust.tvar import classify_case, tvar_g_hat, tvar_g_star_value
 from bwrobust.var_bounds import worst_case_var
 
 from conftest import guaranteed_scenario
@@ -104,10 +104,14 @@ class TestGStarClosedForms:
         xs = np.linspace(0.0, 100.0, 257)
         vals = tvar_g_star_value(xs, 1.0, 0.0, scenario, v_upper)
         assert np.allclose(vals, texp.survival(xs), atol=1e-14)
-        curve = tvar_g_star(1.0, 0.0, scenario, v_upper=v_upper)
-        assert np.allclose(curve.values,
-                           texp.survival(np.clip(curve.grid, 0, 100)),
-                           atol=1e-14)
+        # a 4,000-cell grid through the curve's knots
+        report = classify_case(0.0, 0.5, 0.95, texp, v_upper,
+                               gen=scenario.generator, beta=1.0)
+        x2 = float(np.clip(texp.survival_inverse_right(1.0 / 1.5), v_upper, 100))
+        knots = [v_upper, report.x_tilde, min(report.x_hat, 100.0), x2]
+        grid = refine_edges(knots, 0.0, 100.0, max_cell=100.0 / 4000)
+        vals = tvar_g_star_value(grid, 1.0, 0.0, scenario, v_upper)
+        assert np.allclose(vals, texp.survival(grid), atol=1e-14)
 
     def test_case_ii_scaled_tail(self, scenario, texp, v_upper):
         lam = 30.0
